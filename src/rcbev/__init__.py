@@ -14,7 +14,6 @@ from .backbone import (
     BackboneResult,
     dmsa_head,
     dual_backbone_forward,
-    gaussian_modulation,
     inject,
     extract,
     multi_head_dmsa,

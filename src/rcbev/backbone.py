@@ -34,7 +34,16 @@ from .nn import (
     mlp,
     softmax,
 )
-from .weights import TensorSpec, WeightSet, INIT_GLOROT, INIT_ONES, INIT_ZEROS
+from .weights import (
+    INIT_GLOROT,
+    INIT_ONES,
+    INIT_ZEROS,
+    TensorSource,
+    TensorSpec,
+    WeightSet,
+    linear_schema,
+    record_tensors,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +187,6 @@ def pairwise_sq_dist(coords: np.ndarray) -> np.ndarray:
     return dx * dx + dy * dy
 
 
-def gaussian_modulation(d2: np.ndarray, sigma: float) -> np.ndarray:
-    """exp(-D^2 / sigma^2): unit diagonal, decaying with squared distance."""
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    return np.exp(-as_f64(d2) / (sigma * sigma))
-
-
 def dmsa_logits(q: np.ndarray, k: np.ndarray, d2: np.ndarray, beta: float) -> np.ndarray:
     q, k, d2 = as_f64(q), as_f64(k), as_f64(d2)
     n, d = q.shape
@@ -272,7 +274,7 @@ def dual_backbone_forward(feats: PointFeatureSet, w: WeightSet, arch: BackboneAr
     then merge the streams with a linear layer over their concatenation."""
     if len(feats) == 0:
         raise EmptyInputError("dual_backbone_forward requires at least one point")
-    params = build_backbone_params(w, arch)
+    params = backbone_schema(w, arch)
     f_p = as_f64(feats.features)
     f_t = f_p
     coords = as_f64(feats.coords)
@@ -294,146 +296,90 @@ def dual_backbone_forward(feats: PointFeatureSet, w: WeightSet, arch: BackboneAr
 
 
 # ---------------------------------------------------------------------------
-# weight naming: stage{i}.point.* / .tf.* / .inject.* / .extract.*, merge.*
+# parameter schema: stage{i}.point.* / .tf.* / .inject.* / .extract.*, merge.*
 # ---------------------------------------------------------------------------
 
-def _ln_specs(prefix: str, c: int) -> list[TensorSpec]:
-    return [
-        TensorSpec(f"{prefix}.scale", (c,), INIT_ONES),
-        TensorSpec(f"{prefix}.shift", (c,), INIT_ZEROS),
-    ]
+def _ln_schema(src: TensorSource, prefix: str, c: int, eps: float) -> NormParams:
+    return NormParams(
+        src.require(f"{prefix}.scale", (c,), INIT_ONES), src.require(f"{prefix}.shift", (c,), INIT_ZEROS), eps
+    )
 
 
-def _cross_specs(prefix: str, c: int, heads: int) -> list[TensorSpec]:
+def _heads_schema(
+    src: TensorSource, prefix: str, c: int, heads: int, with_beta: bool
+) -> tuple[AttnHeadParams, ...]:
+    """Per-head projections; a self-attention head also has its distance
+    gate beta, clamped to >= 0."""
     d = c // heads
-    specs = _ln_specs(f"{prefix}.lnq", c) + _ln_specs(f"{prefix}.lnkv", c)
-    for h in range(heads):
-        for proj in ("wq", "wk", "wv"):
-            specs.append(TensorSpec(f"{prefix}.head{h}.{proj}", (d, c), INIT_GLOROT))
-    specs.append(TensorSpec(f"{prefix}.wo", (c, c), INIT_GLOROT))
-    specs.append(TensorSpec(f"{prefix}.bo", (c,), INIT_ZEROS))
-    return specs
-
-
-def _ffn_specs(prefix: str, c: int, mult: int) -> list[TensorSpec]:
-    hidden = mult * c
-    return [
-        TensorSpec(f"{prefix}.layer0.w", (hidden, c), INIT_GLOROT),
-        TensorSpec(f"{prefix}.layer0.b", (hidden,), INIT_ZEROS),
-        TensorSpec(f"{prefix}.layer1.w", (c, hidden), INIT_GLOROT),
-        TensorSpec(f"{prefix}.layer1.b", (c,), INIT_ZEROS),
-    ]
-
-
-def tensor_specs(arch: BackboneArch) -> list[TensorSpec]:
-    specs: list[TensorSpec] = []
-    prev = arch.in_channels
-    for i, width in enumerate(arch.widths, start=1):
-        half = width // 2
-        d = width // arch.dmsa_heads
-        sp = f"stage{i}"
-        specs.append(TensorSpec(f"{sp}.point.layer0.w", (half, prev), INIT_GLOROT))
-        specs.append(TensorSpec(f"{sp}.point.layer0.b", (half,), INIT_ZEROS))
-        if prev != width:
-            specs.append(TensorSpec(f"{sp}.tf.in.w", (width, prev), INIT_GLOROT))
-            specs.append(TensorSpec(f"{sp}.tf.in.b", (width,), INIT_ZEROS))
-        specs += _ln_specs(f"{sp}.tf.ln1", width)
-        for h in range(arch.dmsa_heads):
-            for proj in ("wq", "wk", "wv"):
-                specs.append(TensorSpec(f"{sp}.tf.attn.head{h}.{proj}", (d, width), INIT_GLOROT))
-            specs.append(TensorSpec(f"{sp}.tf.attn.head{h}.beta", (1,), INIT_ONES))
-        specs.append(TensorSpec(f"{sp}.tf.attn.wo", (width, width), INIT_GLOROT))
-        specs.append(TensorSpec(f"{sp}.tf.attn.bo", (width,), INIT_ZEROS))
-        specs += _ln_specs(f"{sp}.tf.ln2", width)
-        specs += _ffn_specs(f"{sp}.tf.ffn", width, arch.ffn_mult)
-        specs += _cross_specs(f"{sp}.inject", width, arch.cross_heads)
-        specs.append(TensorSpec(f"{sp}.inject.gamma", (width,), INIT_ZEROS))
-        specs += _cross_specs(f"{sp}.extract", width, arch.cross_heads)
-        specs += _ln_specs(f"{sp}.extract.ffn_ln", width)
-        specs += _ffn_specs(f"{sp}.extract.ffn", width, arch.ffn_mult)
-        prev = width
-    out = arch.out_channels
-    specs.append(TensorSpec("merge.w", (out, 2 * out), INIT_GLOROT))
-    specs.append(TensorSpec("merge.b", (out,), INIT_ZEROS))
-    return specs
-
-
-def _ln_from(w: WeightSet, prefix: str, c: int, eps: float) -> NormParams:
-    return NormParams(w.require(f"{prefix}.scale", (c,)), w.require(f"{prefix}.shift", (c,)), eps)
-
-
-def _cross_from(w: WeightSet, prefix: str, c: int, heads: int, eps: float) -> CrossAttnParams:
-    d = c // heads
-    head_params = tuple(
+    return tuple(
         AttnHeadParams(
-            w.require(f"{prefix}.head{h}.wq", (d, c)),
-            w.require(f"{prefix}.head{h}.wk", (d, c)),
-            w.require(f"{prefix}.head{h}.wv", (d, c)),
+            src.require(f"{prefix}.head{h}.wq", (d, c), INIT_GLOROT),
+            src.require(f"{prefix}.head{h}.wk", (d, c), INIT_GLOROT),
+            src.require(f"{prefix}.head{h}.wv", (d, c), INIT_GLOROT),
+            beta=(
+                max(0.0, float(src.require(f"{prefix}.head{h}.beta", (1,), INIT_ONES)[0]))
+                if with_beta
+                else 0.0
+            ),
         )
         for h in range(heads)
     )
+
+
+def _cross_schema(src: TensorSource, prefix: str, c: int, heads: int, eps: float) -> CrossAttnParams:
     return CrossAttnParams(
-        _ln_from(w, f"{prefix}.lnq", c, eps),
-        _ln_from(w, f"{prefix}.lnkv", c, eps),
-        head_params,
-        w.require(f"{prefix}.wo", (c, c)),
-        w.require(f"{prefix}.bo", (c,)),
+        _ln_schema(src, f"{prefix}.lnq", c, eps),
+        _ln_schema(src, f"{prefix}.lnkv", c, eps),
+        _heads_schema(src, prefix, c, heads, with_beta=False),
+        src.require(f"{prefix}.wo", (c, c), INIT_GLOROT),
+        src.require(f"{prefix}.bo", (c,), INIT_ZEROS),
     )
 
 
-def _ffn_from(w: WeightSet, prefix: str, c: int, mult: int) -> MlpParams:
+def _ffn_schema(src: TensorSource, prefix: str, c: int, mult: int) -> MlpParams:
     hidden = mult * c
     return MlpParams(
         (
-            MlpLayer(w.require(f"{prefix}.layer0.w", (hidden, c)), w.require(f"{prefix}.layer0.b", (hidden,)), relu=True),
-            MlpLayer(w.require(f"{prefix}.layer1.w", (c, hidden)), w.require(f"{prefix}.layer1.b", (c,)), relu=False),
+            MlpLayer(*linear_schema(src, f"{prefix}.layer0", hidden, c), relu=True),
+            MlpLayer(*linear_schema(src, f"{prefix}.layer1", c, hidden), relu=False),
         )
     )
 
 
-def build_backbone_params(w: WeightSet, arch: BackboneArch) -> BackboneParams:
-    """Assemble all stage parameters by name; beta gates are clamped to >= 0."""
+def backbone_schema(src: TensorSource, arch: BackboneArch) -> BackboneParams:
+    """Ask ``src`` for every backbone tensor, in canonical order, and assemble
+    the stage parameters."""
     stages = []
     prev = arch.in_channels
     for i, width in enumerate(arch.widths, start=1):
         half = width // 2
-        d = width // arch.dmsa_heads
         sp = f"stage{i}"
-        point = MlpParams(
-            (MlpLayer(w.require(f"{sp}.point.layer0.w", (half, prev)), w.require(f"{sp}.point.layer0.b", (half,)), relu=True),)
-        )
-        tf_in = None
-        if prev != width:
-            tf_in = (w.require(f"{sp}.tf.in.w", (width, prev)), w.require(f"{sp}.tf.in.b", (width,)))
-        heads = tuple(
-            AttnHeadParams(
-                w.require(f"{sp}.tf.attn.head{h}.wq", (d, width)),
-                w.require(f"{sp}.tf.attn.head{h}.wk", (d, width)),
-                w.require(f"{sp}.tf.attn.head{h}.wv", (d, width)),
-                beta=max(0.0, float(w.require(f"{sp}.tf.attn.head{h}.beta", (1,))[0])),
-            )
-            for h in range(arch.dmsa_heads)
-        )
+        point = MlpParams((MlpLayer(*linear_schema(src, f"{sp}.point.layer0", half, prev), relu=True),))
+        tf_in = linear_schema(src, f"{sp}.tf.in", width, prev) if prev != width else None
         tf = TransformerBlockParams(
-            _ln_from(w, f"{sp}.tf.ln1", width, arch.eps),
-            MultiHeadDmsaParams(heads, w.require(f"{sp}.tf.attn.wo", (width, width)), w.require(f"{sp}.tf.attn.bo", (width,))),
-            _ln_from(w, f"{sp}.tf.ln2", width, arch.eps),
-            _ffn_from(w, f"{sp}.tf.ffn", width, arch.ffn_mult),
+            _ln_schema(src, f"{sp}.tf.ln1", width, arch.eps),
+            MultiHeadDmsaParams(
+                _heads_schema(src, f"{sp}.tf.attn", width, arch.dmsa_heads, with_beta=True),
+                src.require(f"{sp}.tf.attn.wo", (width, width), INIT_GLOROT),
+                src.require(f"{sp}.tf.attn.bo", (width,), INIT_ZEROS),
+            ),
+            _ln_schema(src, f"{sp}.tf.ln2", width, arch.eps),
+            _ffn_schema(src, f"{sp}.tf.ffn", width, arch.ffn_mult),
         )
         inj = InjectionParams(
-            _cross_from(w, f"{sp}.inject", width, arch.cross_heads, arch.eps),
-            w.require(f"{sp}.inject.gamma", (width,)),
+            _cross_schema(src, f"{sp}.inject", width, arch.cross_heads, arch.eps),
+            src.require(f"{sp}.inject.gamma", (width,), INIT_ZEROS),
         )
         ext = ExtractionParams(
-            _cross_from(w, f"{sp}.extract", width, arch.cross_heads, arch.eps),
-            _ln_from(w, f"{sp}.extract.ffn_ln", width, arch.eps),
-            _ffn_from(w, f"{sp}.extract.ffn", width, arch.ffn_mult),
+            _cross_schema(src, f"{sp}.extract", width, arch.cross_heads, arch.eps),
+            _ln_schema(src, f"{sp}.extract.ffn_ln", width, arch.eps),
+            _ffn_schema(src, f"{sp}.extract.ffn", width, arch.ffn_mult),
         )
         stages.append(StageParams(point, tf_in, tf, inj, ext, width))
         prev = width
     out = arch.out_channels
-    return BackboneParams(
-        tuple(stages),
-        w.require("merge.w", (out, 2 * out)),
-        w.require("merge.b", (out,)),
-    )
+    return BackboneParams(tuple(stages), *linear_schema(src, "merge", out, 2 * out))
+
+
+def tensor_specs(arch: BackboneArch) -> list[TensorSpec]:
+    return record_tensors(backbone_schema, arch)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError, FormatError, ShapeError
 from .ingest import PointFeatureSet
 from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3, mlp, relu
-from .weights import TensorSpec, WeightSet, INIT_GLOROT, INIT_ONES, INIT_ZEROS
+from .weights import TensorSource, INIT_GLOROT, INIT_ONES, INIT_ZEROS, linear_schema
 
 GRID_MAGIC = b"BEVG"
 GRID_VERSION = 1
@@ -88,10 +88,6 @@ class BevGrid:
         if not np.all(np.isfinite(self.data)):
             raise DataError("BEV grid contains non-finite values")
         return self
-
-
-def zero_grid(channels: int, spec: BevSpec) -> BevGrid:
-    return BevGrid(np.zeros((channels, spec.h, spec.w)), spec)
 
 
 @dataclass(frozen=True)
@@ -195,26 +191,11 @@ def gaussian_bev_map(
 # per-pixel MLP and residual conv encoder
 # ---------------------------------------------------------------------------
 
-def _rcs_mlp_from(w: WeightSet, prefix: str = "bev.rcs_mlp") -> MlpParams:
-    layers = []
-    j = 0
-    while f"{prefix}.layer{j}.w" in w:
-        wt = w.get(f"{prefix}.layer{j}.w")
-        b = w.get(f"{prefix}.layer{j}.b")
-        layers.append(MlpLayer(wt, b, relu=True))
-        j += 1
-    if not layers:
-        raise FormatError(f"no '{prefix}.layer0.w' tensor in weight set")
-    layers[-1] = MlpLayer(layers[-1].w, layers[-1].b, relu=False)
-    return MlpParams(tuple(layers))
-
-
-def rcs_bev_feature(f_rcs: BevGrid, g_rcs: BevGrid, w: WeightSet) -> BevGrid:
+def rcs_bev_feature(f_rcs: BevGrid, g_rcs: BevGrid, params: MlpParams) -> BevGrid:
     """Concatenate the scattered features with the Gaussian map and mix them
     with a per-pixel MLP."""
     if f_rcs.spec != g_rcs.spec:
         raise ShapeError("feature and weight-map grids have different specs")
-    params = _rcs_mlp_from(w)
     stacked = np.concatenate([f_rcs.data, g_rcs.data], axis=0)
     c_in = stacked.shape[0]
     if params.in_channels != c_in:
@@ -233,6 +214,22 @@ class CbrBlockParams:
     proj: tuple[np.ndarray, np.ndarray] | None = None  # 1x1 channel-matching residual
 
 
+def cbr_schema(src: TensorSource, prefix: str, c_in: int, c_out: int, eps: float) -> CbrBlockParams:
+    """A residual conv3x3 + batch-norm + ReLU block; the skip gets a 1x1
+    projection when the channel count changes."""
+    conv_w = src.require(f"{prefix}.conv.w", (c_out, c_in, 3, 3), INIT_GLOROT)
+    conv_b = src.require(f"{prefix}.conv.b", (c_out,), INIT_ZEROS)
+    bn = NormParams(
+        src.require(f"{prefix}.bn.scale", (c_out,), INIT_ONES),
+        src.require(f"{prefix}.bn.shift", (c_out,), INIT_ZEROS),
+        eps,
+        mean=src.require(f"{prefix}.bn.mean", (c_out,), INIT_ZEROS),
+        var=src.require(f"{prefix}.bn.var", (c_out,), INIT_ONES),
+    )
+    proj = linear_schema(src, f"{prefix}.proj", c_out, c_in) if c_in != c_out else None
+    return CbrBlockParams(conv_w, conv_b, bn, proj)
+
+
 def project_1x1(x: np.ndarray, proj: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """Residual path: identity, or a 1x1 linear map when channels change."""
     if proj is None:
@@ -245,67 +242,39 @@ def cbr_residual(x: np.ndarray, p: CbrBlockParams) -> np.ndarray:
     return relu(batch_norm_2d(conv3x3(x, p.conv_w, p.conv_b), p.bn)) + project_1x1(x, p.proj)
 
 
-def _enc_blocks_from(w: WeightSet, eps: float, prefix: str = "bev.enc") -> list[CbrBlockParams]:
-    blocks = []
-    k = 0
-    while f"{prefix}.block{k}.conv.w" in w:
-        bp = f"{prefix}.block{k}"
-        conv_w = w.get(f"{bp}.conv.w")
-        c_out = conv_w.shape[0]
-        bn = NormParams(
-            w.require(f"{bp}.bn.scale", (c_out,)),
-            w.require(f"{bp}.bn.shift", (c_out,)),
-            eps,
-            mean=w.require(f"{bp}.bn.mean", (c_out,)),
-            var=w.require(f"{bp}.bn.var", (c_out,)),
-        )
-        proj = None
-        if f"{bp}.proj.w" in w:
-            proj = (w.get(f"{bp}.proj.w"), w.get(f"{bp}.proj.b"))
-        blocks.append(CbrBlockParams(conv_w, w.get(f"{bp}.conv.b"), bn, proj))
-        k += 1
-    return blocks
-
-
-def bev_encode(f_rcs_prime: BevGrid, base: BevGrid, w: WeightSet, eps: float = 1e-5) -> BevGrid:
+def bev_encode(f_rcs_prime: BevGrid, base: BevGrid, blocks: Sequence[CbrBlockParams]) -> BevGrid:
     """Channel-concat the mixed feature with the single-pixel scatter and run
     the residual conv3x3 + batch-norm + ReLU stack; zero blocks = raw concat."""
     if f_rcs_prime.spec != base.spec:
         raise ShapeError("encoder inputs have different grid specs")
     x = np.concatenate([f_rcs_prime.data, base.data], axis=0)
-    for block in _enc_blocks_from(w, eps):
+    for block in blocks:
         x = cbr_residual(x, block)
     return BevGrid(x, f_rcs_prime.spec)
 
 
-def tensor_specs(
+def encoder_schema(
+    src: TensorSource,
     point_channels: int,
     rcs_hidden: tuple[int, ...],
     rcs_out: int,
     enc_blocks: int,
     enc_channels: int,
-) -> list[TensorSpec]:
-    """Tensors for the scatter MLP and the conv encoder stack."""
-    specs: list[TensorSpec] = []
+    eps: float,
+) -> tuple[MlpParams, tuple[CbrBlockParams, ...]]:
+    """Ask ``src`` for the per-pixel mix MLP (bev.rcs_mlp.*) and the conv
+    encoder stack (bev.enc.block{k}.*); returns (mlp, blocks)."""
     dims = (point_channels + 1,) + tuple(rcs_hidden) + (rcs_out,)
-    for j, (cin, cout) in enumerate(zip(dims, dims[1:])):
-        specs.append(TensorSpec(f"bev.rcs_mlp.layer{j}.w", (cout, cin), INIT_GLOROT))
-        specs.append(TensorSpec(f"bev.rcs_mlp.layer{j}.b", (cout,), INIT_ZEROS))
+    layers = tuple(
+        MlpLayer(*linear_schema(src, f"bev.rcs_mlp.layer{j}", cout, cin), relu=j < len(dims) - 2)
+        for j, (cin, cout) in enumerate(zip(dims, dims[1:]))
+    )
+    blocks = []
     cin = rcs_out + point_channels
     for k in range(enc_blocks):
-        cout = enc_channels
-        bp = f"bev.enc.block{k}"
-        specs.append(TensorSpec(f"{bp}.conv.w", (cout, cin, 3, 3), INIT_GLOROT))
-        specs.append(TensorSpec(f"{bp}.conv.b", (cout,), INIT_ZEROS))
-        specs.append(TensorSpec(f"{bp}.bn.scale", (cout,), INIT_ONES))
-        specs.append(TensorSpec(f"{bp}.bn.shift", (cout,), INIT_ZEROS))
-        specs.append(TensorSpec(f"{bp}.bn.mean", (cout,), INIT_ZEROS))
-        specs.append(TensorSpec(f"{bp}.bn.var", (cout,), INIT_ONES))
-        if cin != cout:
-            specs.append(TensorSpec(f"{bp}.proj.w", (cout, cin), INIT_GLOROT))
-            specs.append(TensorSpec(f"{bp}.proj.b", (cout,), INIT_ZEROS))
-        cin = cout
-    return specs
+        blocks.append(cbr_schema(src, f"bev.enc.block{k}", cin, enc_channels, eps))
+        cin = enc_channels
+    return MlpParams(layers), tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,14 @@ from .bench import run_bench
 from .bev import load_grid, save_grid
 from .config import PipelineConfig, load_config
 from .errors import PipelineError, RcbevError
-from .fusion import build_align_params, build_fuse_params, channel_spatial_fuse, cross_align
 from .ingest import save_point_cloud, save_point_cloud_binary, synth_scene
 from .pipeline import (
     RunReport,
     _StageRunner,
     dump_intermediates,
+    fusion_branch,
     gen_camera_bev,
-    resolve_weights,
+    load_model,
     run_pipeline,
 )
 from .selfcheck import max_workers_from_env, run_selfcheck
@@ -78,19 +78,8 @@ def cmd_fuse(args) -> int:
     runner = _StageRunner(report)
     radar = runner.run("load-radar", lambda: load_grid(args.radar_grid))
     camera = runner.run("load-camera", lambda: load_grid(args.camera_grid))
-    w = runner.run("weights", lambda: resolve_weights(cfg))
-
-    def align():
-        params = build_align_params(
-            w, camera.channels, radar.channels, radar.spec.h, radar.spec.w,
-            cfg.deform_heads, cfg.deform_points,
-        )
-        return cross_align(camera, radar, params)
-
-    aligned_cam, aligned_rad = runner.run("align", align, out_array=lambda t: t[0].data)
-    fused = runner.run(
-        "fuse", lambda: channel_spatial_fuse(aligned_cam, aligned_rad, build_fuse_params(w, cfg.eps))
-    )
+    _, params = runner.run("weights", lambda: load_model(cfg))
+    _, _, fused = fusion_branch(camera, radar, params.fusion, runner)
     save_grid(fused, out_path)
     print(report.to_text())
     print(f"wrote fused grid to {out_path}")

@@ -1,5 +1,5 @@
 """Pipeline configuration: defaults, the flat key-value config file format,
-and enumeration of every model tensor for deterministic initialization.
+and the whole-model parameter schema that enumerates and loads every tensor.
 
 Config files are plain text, one `dotted.key = value` per line, `#` comments.
 Unknown keys are rejected. Every default is documented next to its field.
@@ -11,14 +11,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from . import backbone as _backbone
-from . import bev as _bev
-from . import fusion as _fusion
-from .bev import BevSpec, ScatterConfig
-from .backbone import BackboneArch
+from .backbone import BackboneArch, BackboneParams, backbone_schema
+from .bev import BevSpec, CbrBlockParams, ScatterConfig, encoder_schema
 from .errors import ConfigError
+from .fusion import AlignParams, FuseParams, fusion_schema
 from .ingest import ClusterSpec, SceneConfig
-from .weights import TensorSpec
+from .nn import MlpParams
+from .weights import TensorSource, TensorSpec, record_tensors
 
 
 @dataclass(frozen=True)
@@ -77,27 +76,33 @@ class PipelineConfig:
         )
 
 
+@dataclass(frozen=True)
+class ModelParams:
+    """Typed params of the three learned blocks."""
+
+    backbone: BackboneParams
+    encoder: tuple[MlpParams, tuple[CbrBlockParams, ...]]  # (rcs mlp, conv blocks)
+    fusion: tuple[AlignParams, FuseParams]
+
+
+def model_schema(src: TensorSource, cfg: PipelineConfig) -> ModelParams:
+    """Ask ``src`` for every learned tensor of the pipeline, in canonical
+    order, and assemble the typed params."""
+    return ModelParams(
+        backbone_schema(src, cfg.backbone_arch()),
+        encoder_schema(
+            src, cfg.point_channels, cfg.rcs_hidden, cfg.rcs_out, cfg.enc_blocks, cfg.radar_channels, cfg.eps
+        ),
+        fusion_schema(
+            src, cfg.cam_channels, cfg.radar_channels, cfg.bev.h, cfg.bev.w,
+            cfg.deform_heads, cfg.deform_points, cfg.fused_channels, cfg.fuse_blocks, cfg.eps,
+        ),
+    )
+
+
 def model_tensors(cfg: PipelineConfig) -> list[TensorSpec]:
     """Every learned tensor of the pipeline, in canonical order."""
-    specs = _backbone.tensor_specs(cfg.backbone_arch())
-    specs += _bev.tensor_specs(
-        point_channels=cfg.point_channels,
-        rcs_hidden=cfg.rcs_hidden,
-        rcs_out=cfg.rcs_out,
-        enc_blocks=cfg.enc_blocks,
-        enc_channels=cfg.radar_channels,
-    )
-    specs += _fusion.tensor_specs(
-        c_cam=cfg.cam_channels,
-        c_rad=cfg.radar_channels,
-        h=cfg.bev.h,
-        w=cfg.bev.w,
-        m=cfg.deform_heads,
-        k=cfg.deform_points,
-        c_fused=cfg.fused_channels,
-        fuse_blocks=cfg.fuse_blocks,
-    )
-    return specs
+    return record_tensors(model_schema, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .bev import BevGrid, CbrBlockParams, cbr_residual
+from .bev import BevGrid, CbrBlockParams, cbr_residual, cbr_schema
 from .errors import ConfigError, ShapeError
-from .nn import (
-    NormParams,
-    as_f64,
-    batch_norm_2d,
-    conv3x3,
-    contract,
-    relu,
-    softmax,
-)
-from .weights import TensorSpec, WeightSet, INIT_GLOROT, INIT_ONES, INIT_ZEROS
+from .nn import as_f64, contract, softmax
+from .weights import TensorSource, INIT_GLOROT, INIT_ZEROS, linear_schema
 
 
 @dataclass(frozen=True)
@@ -197,11 +189,6 @@ def cross_align(f_c: BevGrid, f_r: BevGrid, p: AlignParams) -> tuple[BevGrid, Be
     )
 
 
-def cbr_block(x: np.ndarray, p: CbrBlockParams) -> np.ndarray:
-    """relu(batch_norm(conv3x3(x))) with stored inference statistics."""
-    return relu(batch_norm_2d(conv3x3(x, p.conv_w, p.conv_b), p.bn))
-
-
 def channel_spatial_fuse(f_c: BevGrid, f_r: BevGrid, p: FuseParams) -> BevGrid:
     """Concat aligned features, one residual CBR block (1x1-projected skip when
     channels change), then the trailing residual CBR blocks."""
@@ -215,44 +202,26 @@ def channel_spatial_fuse(f_c: BevGrid, f_r: BevGrid, p: FuseParams) -> BevGrid:
 
 
 # ---------------------------------------------------------------------------
-# weight naming: align.pos.*, align.r2c.*, align.c2r.*, fuse.*
+# parameter schema: align.pos.*, align.r2c.*, align.c2r.*, fuse.*
 # ---------------------------------------------------------------------------
 
-def _deform_specs(prefix: str, c_query: int, c_value: int, m: int, k: int) -> list[TensorSpec]:
+def _deform_schema(src: TensorSource, prefix: str, c_query: int, c_value: int, m: int, k: int) -> DeformAttnParams:
     if c_value % m:
         raise ConfigError(f"value channels {c_value} not divisible by {m} heads")
     d = c_value // m
-    specs = []
-    if c_query != c_value:
-        specs.append(TensorSpec(f"{prefix}.adapt.w", (c_value, c_query), INIT_GLOROT))
-        specs.append(TensorSpec(f"{prefix}.adapt.b", (c_value,), INIT_ZEROS))
-    specs += [
-        TensorSpec(f"{prefix}.off.w", (2 * m * k, c_value), INIT_GLOROT),
-        TensorSpec(f"{prefix}.off.b", (2 * m * k,), INIT_ZEROS),
-        TensorSpec(f"{prefix}.att.w", (m * k, c_value), INIT_GLOROT),
-        TensorSpec(f"{prefix}.att.b", (m * k,), INIT_ZEROS),
-        TensorSpec(f"{prefix}.val.w", (m, d, c_value), INIT_GLOROT),
-        TensorSpec(f"{prefix}.out.w", (m, c_value, d), INIT_GLOROT),
-    ]
-    return specs
+    adapt = linear_schema(src, f"{prefix}.adapt", c_value, c_query) if c_query != c_value else None
+    w_off, b_off = linear_schema(src, f"{prefix}.off", 2 * m * k, c_value)
+    w_att, b_att = linear_schema(src, f"{prefix}.att", m * k, c_value)
+    return DeformAttnParams(
+        m, k, w_off, b_off, w_att, b_att,
+        w_val=src.require(f"{prefix}.val.w", (m, d, c_value), INIT_GLOROT),
+        w_out=src.require(f"{prefix}.out.w", (m, c_value, d), INIT_GLOROT),
+        adapt=adapt,
+    )
 
 
-def _cbr_specs(prefix: str, c_in: int, c_out: int) -> list[TensorSpec]:
-    specs = [
-        TensorSpec(f"{prefix}.conv.w", (c_out, c_in, 3, 3), INIT_GLOROT),
-        TensorSpec(f"{prefix}.conv.b", (c_out,), INIT_ZEROS),
-        TensorSpec(f"{prefix}.bn.scale", (c_out,), INIT_ONES),
-        TensorSpec(f"{prefix}.bn.shift", (c_out,), INIT_ZEROS),
-        TensorSpec(f"{prefix}.bn.mean", (c_out,), INIT_ZEROS),
-        TensorSpec(f"{prefix}.bn.var", (c_out,), INIT_ONES),
-    ]
-    if c_in != c_out:
-        specs.append(TensorSpec(f"{prefix}.proj.w", (c_out, c_in), INIT_GLOROT))
-        specs.append(TensorSpec(f"{prefix}.proj.b", (c_out,), INIT_ZEROS))
-    return specs
-
-
-def tensor_specs(
+def fusion_schema(
+    src: TensorSource,
     c_cam: int,
     c_rad: int,
     h: int,
@@ -261,66 +230,15 @@ def tensor_specs(
     k: int,
     c_fused: int,
     fuse_blocks: int,
-) -> list[TensorSpec]:
-    specs = [
-        TensorSpec("align.pos.cam", (c_cam, h, w), INIT_ZEROS),
-        TensorSpec("align.pos.rad", (c_rad, h, w), INIT_ZEROS),
-    ]
-    specs += _deform_specs("align.r2c", c_rad, c_cam, m, k)
-    specs += _deform_specs("align.c2r", c_cam, c_rad, m, k)
-    specs += _cbr_specs("fuse.res", c_cam + c_rad, c_fused)
-    for i in range(fuse_blocks):
-        specs += _cbr_specs(f"fuse.cbr{i}", c_fused, c_fused)
-    return specs
-
-
-def _deform_from(w: WeightSet, prefix: str, c_query: int, c_value: int, m: int, k: int) -> DeformAttnParams:
-    d = c_value // m
-    adapt = None
-    if f"{prefix}.adapt.w" in w:
-        adapt = (w.require(f"{prefix}.adapt.w", (c_value, c_query)), w.require(f"{prefix}.adapt.b", (c_value,)))
-    return DeformAttnParams(
-        m=m,
-        k=k,
-        w_off=w.require(f"{prefix}.off.w", (2 * m * k, c_value)),
-        b_off=w.require(f"{prefix}.off.b", (2 * m * k,)),
-        w_att=w.require(f"{prefix}.att.w", (m * k, c_value)),
-        b_att=w.require(f"{prefix}.att.b", (m * k,)),
-        w_val=w.require(f"{prefix}.val.w", (m, d, c_value)),
-        w_out=w.require(f"{prefix}.out.w", (m, c_value, d)),
-        adapt=adapt,
+    eps: float,
+) -> tuple[AlignParams, FuseParams]:
+    """Ask ``src`` for the alignment and fusion tensors; returns (align, fuse)."""
+    align = AlignParams(
+        pos_cam=src.require("align.pos.cam", (c_cam, h, w), INIT_ZEROS),
+        pos_rad=src.require("align.pos.rad", (c_rad, h, w), INIT_ZEROS),
+        r2c=_deform_schema(src, "align.r2c", c_rad, c_cam, m, k),
+        c2r=_deform_schema(src, "align.c2r", c_cam, c_rad, m, k),
     )
-
-
-def _cbr_from(w: WeightSet, prefix: str, eps: float) -> CbrBlockParams:
-    conv_w = w.get(f"{prefix}.conv.w")
-    c_out = conv_w.shape[0]
-    bn = NormParams(
-        w.require(f"{prefix}.bn.scale", (c_out,)),
-        w.require(f"{prefix}.bn.shift", (c_out,)),
-        eps,
-        mean=w.require(f"{prefix}.bn.mean", (c_out,)),
-        var=w.require(f"{prefix}.bn.var", (c_out,)),
-    )
-    proj = None
-    if f"{prefix}.proj.w" in w:
-        proj = (w.get(f"{prefix}.proj.w"), w.get(f"{prefix}.proj.b"))
-    return CbrBlockParams(conv_w, w.get(f"{prefix}.conv.b"), bn, proj)
-
-
-def build_align_params(w: WeightSet, c_cam: int, c_rad: int, h: int, wd: int, m: int, k: int) -> AlignParams:
-    return AlignParams(
-        pos_cam=w.require("align.pos.cam", (c_cam, h, wd)),
-        pos_rad=w.require("align.pos.rad", (c_rad, h, wd)),
-        r2c=_deform_from(w, "align.r2c", c_rad, c_cam, m, k),
-        c2r=_deform_from(w, "align.c2r", c_cam, c_rad, m, k),
-    )
-
-
-def build_fuse_params(w: WeightSet, eps: float = 1e-5) -> FuseParams:
-    blocks = []
-    i = 0
-    while f"fuse.cbr{i}.conv.w" in w:
-        blocks.append(_cbr_from(w, f"fuse.cbr{i}", eps))
-        i += 1
-    return FuseParams(_cbr_from(w, "fuse.res", eps), tuple(blocks))
+    res = cbr_schema(src, "fuse.res", c_cam + c_rad, c_fused, eps)
+    blocks = tuple(cbr_schema(src, f"fuse.cbr{i}", c_fused, c_fused, eps) for i in range(fuse_blocks))
+    return align, FuseParams(res, blocks)

@@ -184,17 +184,11 @@ def attend(weights: np.ndarray, values: np.ndarray, chunk: int = 16) -> np.ndarr
     return out
 
 
-def conv3x3(
-    x: np.ndarray,
-    kernels: np.ndarray,
-    bias: np.ndarray,
-    stride: int = 1,
-    pad: int = 1,
-) -> np.ndarray:
-    """Zero-padded cross-correlation with 3x3 kernels.
+def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Zero-padded (pad 1, stride 1) cross-correlation with 3x3 kernels.
 
-    x: C_in x H x W, kernels: C_out x C_in x 3 x 3, bias: C_out.
-    At stride=1, pad=1 output spatial dims equal input dims.
+    x: C_in x H x W, kernels: C_out x C_in x 3 x 3, bias: C_out; output
+    spatial dims equal input dims.
     """
     x, kernels, bias = as_f64(x), as_f64(kernels), as_f64(bias)
     if x.ndim != 3:
@@ -206,18 +200,13 @@ def conv3x3(
     if bias.shape != (kernels.shape[0],):
         raise ShapeError(f"conv3x3 bias sized {bias.shape} != C_out {kernels.shape[0]}")
     c_in, h, w = x.shape
-    c_out = kernels.shape[0]
-    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
-    xp[:, pad : pad + h, pad : pad + w] = x
-    h_out = (h + 2 * pad - 3) // stride + 1
-    w_out = (w + 2 * pad - 3) // stride + 1
+    xp = np.zeros((c_in, h + 2, w + 2))
+    xp[:, 1 : 1 + h, 1 : 1 + w] = x
     # im2col: 9 shifted views stacked along a patch axis, then one contraction
-    cols = np.empty((c_in, 3, 3, h_out, w_out))
+    cols = np.empty((c_in, 3, 3, h, w))
     for dy in range(3):
         for dx in range(3):
-            cols[:, dy, dx] = xp[
-                :, dy : dy + stride * h_out : stride, dx : dx + stride * w_out : stride
-            ]
+            cols[:, dy, dx] = xp[:, dy : dy + h, dx : dx + w]
     out = np.einsum("oiyx,iyxhw->ohw", kernels, cols, optimize=False)
     return out + bias[:, None, None]
 
@@ -244,39 +233,4 @@ def bilinear_sample(grid: np.ndarray, xy: Sequence[float]) -> np.ndarray:
     ):
         if 0 <= xi < w and 0 <= yi < h:
             out += wt * grid[:, yi, xi]
-    return out
-
-
-def bilinear_sample_many(grid: np.ndarray, uv: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    """Vectorized bilinear_sample: uv is P x 2 (u, v); returns P x C.
-
-    Gathers from a channels-last copy so corner reads are contiguous;
-    out-of-grid corners contribute through zeroed weights on clipped indices.
-    Points are processed in chunks to keep temporaries cache-resident.
-    """
-    grid = as_f64(grid)
-    uv = as_f64(uv)
-    if grid.ndim != 3 or uv.ndim != 2 or uv.shape[1] != 2:
-        raise ShapeError(f"bilinear_sample_many: grid {grid.shape}, uv {uv.shape}")
-    c, h, w = grid.shape
-    flat = np.ascontiguousarray(grid.transpose(1, 2, 0)).reshape(-1, c)
-    p = uv.shape[0]
-    out = np.empty((p, c))
-    for s in range(0, p, chunk):
-        u, v = uv[s : s + chunk, 0], uv[s : s + chunk, 1]
-        x0 = np.floor(u).astype(np.int64)
-        y0 = np.floor(v).astype(np.int64)
-        fx, fy = u - x0, v - y0
-        acc = None
-        for xi, yi, wt in (
-            (x0, y0, (1 - fx) * (1 - fy)),
-            (x0 + 1, y0, fx * (1 - fy)),
-            (x0, y0 + 1, (1 - fx) * fy),
-            (x0 + 1, y0 + 1, fx * fy),
-        ):
-            ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            idx = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
-            term = (wt * ok)[:, None] * flat[idx]
-            acc = term if acc is None else acc + term
-        out[s : s + chunk] = acc
     return out

@@ -17,6 +17,7 @@ from .backbone import BackboneResult, dual_backbone_forward
 from .bev import (
     BevGrid,
     BevSpec,
+    CbrBlockParams,
     bev_encode,
     gaussian_bev_map,
     rcs_bev_feature,
@@ -24,9 +25,9 @@ from .bev import (
     to_pixel,
     ScatterConfig,
 )
-from .config import PipelineConfig, model_tensors
+from .config import ModelParams, PipelineConfig, model_schema, model_tensors
 from .errors import PipelineError, ShapeError
-from .fusion import build_align_params, build_fuse_params, channel_spatial_fuse, cross_align
+from .fusion import AlignParams, FuseParams, channel_spatial_fuse, cross_align
 from .ingest import (
     PointCloud,
     PointFeatureSet,
@@ -36,7 +37,8 @@ from .ingest import (
     load_point_cloud_binary,
     synth_scene,
 )
-from .weights import WeightSet, init_weights, load_weights
+from .nn import MlpParams
+from .weights import WeightSet, check_names, init_weights, load_weights
 
 
 def checksum(arr: np.ndarray) -> str:
@@ -137,9 +139,21 @@ def _default_array(result):
 
 
 def resolve_weights(cfg: PipelineConfig) -> WeightSet:
-    if cfg.weights_path:
-        return load_weights(cfg.weights_path)
-    return init_weights(model_tensors(cfg), cfg.seed)
+    """The seeded init of the config's tensors, or the config's manifest,
+    which must hold exactly the tensor names of the config's schema."""
+    specs = model_tensors(cfg)
+    if not cfg.weights_path:
+        return init_weights(specs, cfg.seed)
+    w = load_weights(cfg.weights_path)
+    check_names(w, specs)
+    return w
+
+
+def load_model(cfg: PipelineConfig) -> tuple[WeightSet, ModelParams]:
+    """The weight set, and the typed params assembled from it through the
+    model schema, which checks every shape."""
+    w = resolve_weights(cfg)
+    return w, model_schema(w, cfg)
 
 
 def gen_camera_bev(spec: BevSpec, c_c: int, seed: int, modes: int = 6) -> BevGrid:
@@ -165,11 +179,13 @@ def radar_branch(
     cfg: PipelineConfig,
     cloud: PointCloud,
     w: WeightSet,
-    report: RunReport,
+    encoder: tuple[MlpParams, tuple[CbrBlockParams, ...]],
+    runner: _StageRunner,
 ) -> tuple[BevGrid, BevGrid, BevGrid, BevGrid, Optional[BackboneResult]]:
-    """Point features -> dual backbone -> RCS scatter -> BEV encoder."""
-    runner = _StageRunner(report)
+    """Point features -> dual backbone -> RCS scatter -> BEV encoder. The
+    backbone takes the weight set, the encoder its typed params."""
     arch = cfg.backbone_arch()
+    rcs_mlp, enc_blocks = encoder
 
     def ingest():
         inside = filter_roi(cloud, cfg.bev)
@@ -186,7 +202,7 @@ def radar_branch(
         )
         point_feats = PointFeatureSet(backbone.fused, feats.coords, feats.rcs_norm)
     else:
-        report.stages.append(StageReport("backbone", 0.0, ""))
+        runner.report.stages.append(StageReport("backbone", 0.0, ""))
         point_feats = PointFeatureSet(
             np.zeros((0, arch.out_channels)), feats.coords, feats.rcs_norm
         )
@@ -205,7 +221,7 @@ def radar_branch(
 
     radar_bev = runner.run(
         "bev_encode",
-        lambda: bev_encode(rcs_bev_feature(f_rcs, g_rcs, w), base, w, cfg.eps),
+        lambda: bev_encode(rcs_bev_feature(f_rcs, g_rcs, rcs_mlp), base, enc_blocks),
     )
     if radar_bev.channels != cfg.radar_channels:
         raise PipelineError(
@@ -213,6 +229,18 @@ def radar_branch(
             ShapeError(f"encoder produced {radar_bev.channels} channels, configured {cfg.radar_channels}"),
         )
     return radar_bev, f_rcs, base, g_rcs, backbone
+
+
+def fusion_branch(
+    cam: BevGrid, radar_bev: BevGrid, params: tuple[AlignParams, FuseParams], runner: _StageRunner
+) -> tuple[BevGrid, BevGrid, BevGrid]:
+    """The align and fuse stages: (aligned camera, aligned radar, fused)."""
+    align_p, fuse_p = params
+    aligned_cam, aligned_rad = runner.run(
+        "align", lambda: cross_align(cam, radar_bev, align_p), out_array=lambda t: t[0].data
+    )
+    fused = runner.run("fuse", lambda: channel_spatial_fuse(aligned_cam, aligned_rad, fuse_p))
+    return aligned_cam, aligned_rad, fused
 
 
 def run_pipeline(
@@ -225,7 +253,9 @@ def run_pipeline(
     report = RunReport()
     runner = _StageRunner(report)
 
-    w = runner.run("weights", lambda: resolve_weights(cfg))
+    # params.backbone is only checked here: dual_backbone_forward assembles
+    # the backbone's params from the weight set itself
+    w, params = runner.run("weights", lambda: load_model(cfg))
 
     def get_cloud() -> PointCloud:
         if cloud is not None:
@@ -239,7 +269,7 @@ def run_pipeline(
 
     in_cloud = runner.run("load", get_cloud)
 
-    radar_bev, f_rcs, base, g_rcs, backbone = radar_branch(cfg, in_cloud, w, report)
+    radar_bev, f_rcs, base, g_rcs, backbone = radar_branch(cfg, in_cloud, w, params.encoder, runner)
 
     def get_camera() -> BevGrid:
         if camera is not None:
@@ -257,19 +287,7 @@ def run_pipeline(
             ShapeError(f"camera grid has {cam.channels} channels, configured {cfg.cam_channels}"),
         )
 
-    def align():
-        params = build_align_params(
-            w, cfg.cam_channels, cfg.radar_channels, cfg.bev.h, cfg.bev.w,
-            cfg.deform_heads, cfg.deform_points,
-        )
-        return cross_align(cam, radar_bev, params)
-
-    aligned_cam, aligned_rad = runner.run("align", align, out_array=lambda t: t[0].data)
-
-    fused = runner.run(
-        "fuse",
-        lambda: channel_spatial_fuse(aligned_cam, aligned_rad, build_fuse_params(w, cfg.eps)),
-    )
+    aligned_cam, aligned_rad, fused = fusion_branch(cam, radar_bev, params.fusion, runner)
 
     report.grids.append(grid_stats("f_rcs", f_rcs))
     report.grids.append(grid_stats("radar_bev", radar_bev))

@@ -39,7 +39,7 @@ from .bev import (
     rcs_scatter,
     to_pixel,
 )
-from .config import PipelineConfig
+from .config import PipelineConfig, model_tensors
 from .errors import ConfigError
 from .fusion import AlignParams, DeformAttnParams, FuseParams, channel_spatial_fuse, cross_align, deform_attn, pixel_centers
 from .ingest import ClusterSpec, PointFeatureSet, SceneConfig
@@ -56,7 +56,7 @@ from .nn import (
     softmax,
 )
 from .pipeline import checksum, run_pipeline
-from .weights import TensorSpec, init_weights, load_weights, save_weights
+from .weights import init_weights, load_weights, save_weights
 
 
 @dataclass(frozen=True)
@@ -188,12 +188,7 @@ def check_maxpool_permutation() -> tuple[float, str]:
 def check_weights_roundtrip(tmp_dir: str) -> tuple[float, str]:
     import tempfile
 
-    specs = [
-        TensorSpec("a.w", (4, 3)),
-        TensorSpec("a.b", (4,), "zeros"),
-        TensorSpec("g", (4,), "ones"),
-    ]
-    ws = init_weights(specs, seed=9)
+    ws = init_weights(model_tensors(tiny_pipeline_config()), seed=9)
     with tempfile.TemporaryDirectory(dir=tmp_dir or None) as td:
         path = os.path.join(td, "w.json")
         save_weights(ws, path)

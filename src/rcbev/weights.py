@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -35,6 +35,10 @@ class TensorSpec:
     shape: tuple[int, ...]
     init: str = INIT_GLOROT
 
+    def __post_init__(self):
+        if any(d <= 0 for d in self.shape):
+            raise ConfigError(f"tensor '{self.name}' has non-positive dim in {self.shape}")
+
 
 @dataclass
 class WeightSet:
@@ -48,17 +52,56 @@ class WeightSet:
         except KeyError:
             raise WeightLookupError(f"weight tensor '{name}' not found") from None
 
-    def require(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    def require(self, name: str, shape: tuple[int, ...], init: str = INIT_GLOROT) -> np.ndarray:
+        """The tensor ``name``, which must have ``shape``; ``init`` is unused
+        here and lets a schema function ask a WeightSet and a recorder alike."""
         arr = self.get(name)
         if arr.shape != shape:
             raise FormatError(f"weight '{name}' has shape {arr.shape}, expected {shape}")
         return arr
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
     def names(self) -> list[str]:
         return list(self.entries)
+
+
+class TensorSource(Protocol):
+    """What a schema function asks for each tensor: a WeightSet loads it, the
+    recorder behind record_tensors declares it."""
+
+    def require(self, name: str, shape: tuple[int, ...], init: str = INIT_GLOROT) -> np.ndarray: ...
+
+
+class _Recorder:
+    def __init__(self):
+        self.specs: list[TensorSpec] = []
+
+    def require(self, name: str, shape: tuple[int, ...], init: str = INIT_GLOROT) -> np.ndarray:
+        self.specs.append(TensorSpec(name, shape, init))
+        return np.zeros(shape)
+
+
+def record_tensors(schema: Callable[..., object], *args) -> list[TensorSpec]:
+    """Every tensor ``schema(source, *args)`` asks for, in request order; the
+    schema runs on zero tensors and its result is discarded."""
+    rec = _Recorder()
+    schema(rec, *args)
+    return rec.specs
+
+
+def linear_schema(src: TensorSource, prefix: str, c_out: int, c_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """A dense layer's weight ``{prefix}.w`` (c_out x c_in) and bias ``{prefix}.b``."""
+    return src.require(f"{prefix}.w", (c_out, c_in), INIT_GLOROT), src.require(f"{prefix}.b", (c_out,), INIT_ZEROS)
+
+
+def check_names(ws: WeightSet, specs: Sequence[TensorSpec]) -> None:
+    """Reject a weight set whose tensor names are not exactly those of ``specs``."""
+    expected = [s.name for s in specs]
+    missing = [n for n in expected if n not in ws.entries]
+    unexpected = sorted(set(ws.entries) - set(expected))
+    if missing or unexpected:
+        raise FormatError(
+            f"weight set does not match the model: missing {missing}, unexpected {unexpected}"
+        )
 
 
 def _fan(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -87,8 +130,6 @@ def init_weights(tensors: Sequence[TensorSpec], seed: int) -> WeightSet:
     rng = np.random.default_rng(seed)
     ws = WeightSet(seed=seed)
     for spec in tensors:
-        if any(d <= 0 for d in spec.shape):
-            raise ConfigError(f"tensor '{spec.name}' has non-positive dim in {spec.shape}")
         if spec.name in ws.entries:
             raise ConfigError(f"duplicate tensor name '{spec.name}'")
         if spec.init == INIT_ZEROS:
@@ -138,35 +179,52 @@ def save_weights(ws: WeightSet, manifest_path: str | Path) -> None:
     payload_path.write_bytes(b"".join(chunks))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_weights(manifest_path: str | Path) -> WeightSet:
+    """Read a manifest and its payload. The payload must be a bare file name
+    in the manifest's directory, every shape a non-empty list of positive
+    integers, and the records must tile the payload in order."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise FormatError(f"weight manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError("weight manifest must be a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported weight format_version {version!r}")
     payload_name = manifest.get("payload")
-    if not isinstance(payload_name, str):
-        raise FormatError("weight manifest missing 'payload' file name")
+    bare = isinstance(payload_name, str) and payload_name not in ("", "..")
+    if not bare or Path(payload_name).name != payload_name:
+        raise FormatError(f"weight manifest 'payload' must be a bare file name, got {payload_name!r}")
+    records = manifest.get("tensors", [])
+    if not isinstance(records, list):
+        raise FormatError("weight manifest 'tensors' must be a list")
     payload = (manifest_path.parent / payload_name).read_bytes()
     ws = WeightSet(seed=manifest.get("seed"))
     expected_offset = 0
-    for rec in manifest.get("tensors", []):
-        name = rec.get("name")
-        shape = tuple(rec.get("shape", ()))
-        if not name or not shape:
+    for rec in records:
+        if not isinstance(rec, dict):
             raise FormatError(f"malformed tensor record {rec!r}")
+        name, shape = rec.get("name"), rec.get("shape")
+        if not isinstance(name, str) or not name or name in ws.entries:
+            raise FormatError(f"missing or duplicate tensor name in record {rec!r}")
+        if not isinstance(shape, list) or not shape or not all(_is_int(d) and d > 0 for d in shape):
+            raise FormatError(f"tensor '{name}' shape {shape!r} is not a list of positive integers")
+        shape = tuple(shape)
         if rec.get("dtype") != "f32":
             raise FormatError(f"tensor '{name}' has unsupported dtype {rec.get('dtype')!r}")
         off, length = rec.get("byte_offset"), rec.get("byte_length")
-        if off != expected_offset:
-            raise FormatError(f"tensor '{name}' offset {off} breaks payload order")
-        n = int(np.prod(shape))
-        if length != 4 * n:
+        if not _is_int(off) or off != expected_offset:
+            raise FormatError(f"tensor '{name}' offset {off!r} breaks payload order")
+        n = math.prod(shape)
+        if not _is_int(length) or length != 4 * n:
             raise FormatError(
-                f"tensor '{name}' declares shape {shape} ({n} floats) over {length} bytes"
+                f"tensor '{name}' declares shape {shape} ({n} floats) over {length!r} bytes"
             )
         if off + length > len(payload):
             raise FormatError(f"tensor '{name}' extends past payload end")

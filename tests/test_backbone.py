@@ -12,12 +12,11 @@ from rcbev.backbone import (
     InjectionParams,
     MultiHeadDmsaParams,
     TransformerBlockParams,
-    build_backbone_params,
+    backbone_schema,
     dmsa_head,
     dmsa_weights,
     dual_backbone_forward,
     extract,
-    gaussian_modulation,
     inject,
     multi_head_dmsa,
     pairwise_sq_dist,
@@ -109,26 +108,6 @@ class TestPairwiseSqDist:
         d2 = pairwise_sq_dist(coords)
         assert np.array_equal(d2, d2.T)
         assert np.array_equal(np.diag(d2), np.zeros(15))
-
-
-class TestGaussianModulation:
-    def test_unit_diagonal(self):
-        d2 = pairwise_sq_dist(rng.uniform(-3, 3, size=(6, 2)))
-        g = gaussian_modulation(d2, 2.0)
-        assert np.array_equal(np.diag(g), np.ones(6))
-
-    def test_scalar_value(self):
-        g = gaussian_modulation(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
-        assert abs(g[0, 1] - math.exp(-1.0)) < 1e-15
-
-    def test_huge_sigma_limit(self):
-        d2 = pairwise_sq_dist(rng.uniform(-10, 10, size=(8, 2)))
-        g = gaussian_modulation(d2, 1e9)
-        assert np.abs(g - 1.0).max() < 1e-9
-
-    def test_bad_sigma(self):
-        with pytest.raises(ConfigError):
-            gaussian_modulation(np.zeros((2, 2)), 0.0)
 
 
 class TestDmsaHead:
@@ -399,7 +378,7 @@ class TestDualBackbone:
                 w.entries[name] = np.zeros_like(w.entries[name])
         feats = make_feats(6)
         res = dual_backbone_forward(feats, w, ARCH)
-        params = build_backbone_params(w, ARCH)
+        params = backbone_schema(w, ARCH)
         f_p = feats.features
         for st in params.stages:
             f_p = point_block(f_p, st.point_mlp)
@@ -428,7 +407,7 @@ class TestDualBackbone:
         w.entries["stage1.tf.attn.head1.beta"] = np.array([1.2])
         feats = make_feats(4)
         res = dual_backbone_forward(feats, w, arch)
-        p = build_backbone_params(w, arch)
+        p = backbone_schema(w, arch)
         st = p.stages[0]
         f_p = point_block(feats.features, st.point_mlp)
         f_t = feats.features @ st.tf_in[0].T + st.tf_in[1]
@@ -450,5 +429,5 @@ class TestDualBackbone:
     def test_beta_clamped_at_load(self):
         w = init_weights(tensor_specs(ARCH), 5)
         w.entries["stage1.tf.attn.head0.beta"] = np.array([-3.0])
-        params = build_backbone_params(w, ARCH)
+        params = backbone_schema(w, ARCH)
         assert params.stages[0].tf.attn.heads[0].beta == 0.0

@@ -5,6 +5,7 @@ import helpers
 from rcbev.bev import (
     BevGrid,
     BevSpec,
+    CbrBlockParams,
     ScatterConfig,
     bev_encode,
     gaussian_bev_map,
@@ -14,11 +15,10 @@ from rcbev.bev import (
     save_grid,
     scatter_radius,
     to_pixel,
-    zero_grid,
 )
 from rcbev.errors import ConfigError, ContractError, DataError, FormatError
 from rcbev.ingest import PointFeatureSet
-from rcbev.weights import WeightSet
+from rcbev.nn import MlpLayer, MlpParams, NormParams, identity_norm
 
 rng = np.random.default_rng(99)
 
@@ -211,44 +211,53 @@ class TestGaussianMap:
         assert np.count_nonzero(g.data) == 1
 
 
+def mix_mlp(*layers):
+    """Per-pixel mix MLP from (w, b) pairs; ReLU on all but the last layer."""
+    return MlpParams(tuple(MlpLayer(w, b, relu=j < len(layers) - 1) for j, (w, b) in enumerate(layers)))
+
+
+def enc_block(ci, co):
+    """A random encoder block as the schema would assemble it."""
+    return CbrBlockParams(
+        rng.standard_normal((co, ci, 3, 3)) * 0.3,
+        rng.standard_normal(co) * 0.1,
+        NormParams(
+            rng.uniform(0.5, 1.5, co), rng.standard_normal(co) * 0.1, 1e-5,
+            mean=rng.standard_normal(co) * 0.1, var=rng.uniform(0.5, 2.0, co),
+        ),
+        proj=(rng.standard_normal((co, ci)), rng.standard_normal(co)) if ci != co else None,
+    )
+
+
 class TestRcsBevFeature:
     def test_identity_like_mlp(self):
         c = 3
-        w = WeightSet()
-        w.entries["bev.rcs_mlp.layer0.w"] = np.eye(c + 1)
-        w.entries["bev.rcs_mlp.layer0.b"] = np.zeros(c + 1)
+        params = mix_mlp((np.eye(c + 1), np.zeros(c + 1)))
         f = BevGrid(rng.standard_normal((c, SPEC.h, SPEC.w)), SPEC)
         g = BevGrid(rng.uniform(0, 1, size=(1, SPEC.h, SPEC.w)), SPEC)
-        out = rcs_bev_feature(f, g, w)
+        out = rcs_bev_feature(f, g, params)
         assert np.abs(out.data - np.concatenate([f.data, g.data], axis=0)).max() < 1e-12
 
     def test_zero_inputs_zero_bias(self):
         c = 3
-        w = WeightSet()
-        w.entries["bev.rcs_mlp.layer0.w"] = rng.standard_normal((5, c + 1))
-        w.entries["bev.rcs_mlp.layer0.b"] = np.zeros(5)
-        out = rcs_bev_feature(zero_grid(c, SPEC), zero_grid(1, SPEC), w)
+        params = mix_mlp((rng.standard_normal((5, c + 1)), np.zeros(5)))
+        zeros = BevGrid(np.zeros((c, SPEC.h, SPEC.w)), SPEC)
+        out = rcs_bev_feature(zeros, BevGrid(np.zeros((1, SPEC.h, SPEC.w)), SPEC), params)
         assert not out.data.any()
 
     def test_matches_per_pixel_loop(self):
         spec = BevSpec.from_extent(0.0, 3.0, 0.0, 3.0, 1.0)
         c = 2
-        w = WeightSet()
-        w.entries["bev.rcs_mlp.layer0.w"] = rng.standard_normal((4, c + 1))
-        w.entries["bev.rcs_mlp.layer0.b"] = rng.standard_normal(4)
-        w.entries["bev.rcs_mlp.layer1.w"] = rng.standard_normal((3, 4))
-        w.entries["bev.rcs_mlp.layer1.b"] = rng.standard_normal(3)
+        w0, b0 = rng.standard_normal((4, c + 1)), rng.standard_normal(4)
+        w1, b1 = rng.standard_normal((3, 4)), rng.standard_normal(3)
         f = BevGrid(rng.standard_normal((c, 3, 3)), spec)
         g = BevGrid(rng.uniform(0, 1, size=(1, 3, 3)), spec)
-        out = rcs_bev_feature(f, g, w)
+        out = rcs_bev_feature(f, g, mix_mlp((w0, b0), (w1, b1)))
         for y in range(3):
             for x in range(3):
                 row = np.concatenate([f.data[:, y, x], g.data[:, y, x]])[None, :]
-                hidden = np.maximum(
-                    helpers.loop_matmul(row, w.entries["bev.rcs_mlp.layer0.w"], w.entries["bev.rcs_mlp.layer0.b"]),
-                    0.0,
-                )
-                ref = helpers.loop_matmul(hidden, w.entries["bev.rcs_mlp.layer1.w"], w.entries["bev.rcs_mlp.layer1.b"])
+                hidden = np.maximum(helpers.loop_matmul(row, w0, b0), 0.0)
+                ref = helpers.loop_matmul(hidden, w1, b1)
                 assert np.abs(out.data[:, y, x] - ref[0]).max() < 1e-10
 
 
@@ -256,24 +265,19 @@ class TestBevEncode:
     def test_zero_blocks_is_concat(self):
         f = BevGrid(rng.standard_normal((3, SPEC.h, SPEC.w)), SPEC)
         base = BevGrid(rng.standard_normal((2, SPEC.h, SPEC.w)), SPEC)
-        out = bev_encode(f, base, WeightSet())
+        out = bev_encode(f, base, ())
         assert np.array_equal(out.data, np.concatenate([f.data, base.data], axis=0))
 
     def test_zero_kernels_residual_projection(self):
         c_in, c_out = 4, 2
-        w = WeightSet()
-        w.entries["bev.enc.block0.conv.w"] = np.zeros((c_out, c_in, 3, 3))
-        w.entries["bev.enc.block0.conv.b"] = np.zeros(c_out)
-        w.entries["bev.enc.block0.bn.scale"] = np.ones(c_out)
-        w.entries["bev.enc.block0.bn.shift"] = np.zeros(c_out)
-        w.entries["bev.enc.block0.bn.mean"] = np.zeros(c_out)
-        w.entries["bev.enc.block0.bn.var"] = np.ones(c_out)
         proj = rng.standard_normal((c_out, c_in))
-        w.entries["bev.enc.block0.proj.w"] = proj
-        w.entries["bev.enc.block0.proj.b"] = np.zeros(c_out)
+        block = CbrBlockParams(
+            np.zeros((c_out, c_in, 3, 3)), np.zeros(c_out), identity_norm(c_out, batch=True),
+            proj=(proj, np.zeros(c_out)),
+        )
         f = BevGrid(rng.standard_normal((2, SPEC.h, SPEC.w)), SPEC)
         base = BevGrid(rng.standard_normal((2, SPEC.h, SPEC.w)), SPEC)
-        out = bev_encode(f, base, w)
+        out = bev_encode(f, base, (block,))
         x = np.concatenate([f.data, base.data], axis=0)
         ref = np.einsum("kc,chw->khw", proj, x)
         assert np.abs(out.data - ref).max() < 1e-10
@@ -281,32 +285,20 @@ class TestBevEncode:
     def test_matches_composed_oracle(self):
         spec = BevSpec.from_extent(0.0, 5.0, 0.0, 5.0, 1.0)
         c_in, c_mid = 3, 4
-        w = WeightSet()
-        for k, (ci, co) in enumerate([(c_in, c_mid), (c_mid, c_mid)]):
-            bp = f"bev.enc.block{k}"
-            w.entries[f"{bp}.conv.w"] = rng.standard_normal((co, ci, 3, 3)) * 0.3
-            w.entries[f"{bp}.conv.b"] = rng.standard_normal(co) * 0.1
-            w.entries[f"{bp}.bn.scale"] = rng.uniform(0.5, 1.5, co)
-            w.entries[f"{bp}.bn.shift"] = rng.standard_normal(co) * 0.1
-            w.entries[f"{bp}.bn.mean"] = rng.standard_normal(co) * 0.1
-            w.entries[f"{bp}.bn.var"] = rng.uniform(0.5, 2.0, co)
-            if ci != co:
-                w.entries[f"{bp}.proj.w"] = rng.standard_normal((co, ci))
-                w.entries[f"{bp}.proj.b"] = rng.standard_normal(co)
+        blocks = (enc_block(c_in, c_mid), enc_block(c_mid, c_mid))
         f = BevGrid(rng.standard_normal((2, 5, 5)), spec)
         base = BevGrid(rng.standard_normal((1, 5, 5)), spec)
-        out = bev_encode(f, base, w)
+        out = bev_encode(f, base, blocks)
 
         x = np.concatenate([f.data, base.data], axis=0)
-        for k, (ci, co) in enumerate([(c_in, c_mid), (c_mid, c_mid)]):
-            bp = f"bev.enc.block{k}"
-            conv = helpers.loop_conv3x3(x, w.entries[f"{bp}.conv.w"], w.entries[f"{bp}.conv.b"])
-            bn = (conv - w.entries[f"{bp}.bn.mean"][:, None, None]) / np.sqrt(
-                w.entries[f"{bp}.bn.var"][:, None, None] + 1e-5
-            ) * w.entries[f"{bp}.bn.scale"][:, None, None] + w.entries[f"{bp}.bn.shift"][:, None, None]
+        for blk in blocks:
+            conv = helpers.loop_conv3x3(x, blk.conv_w, blk.conv_b)
+            bn = (conv - blk.bn.mean[:, None, None]) / np.sqrt(
+                blk.bn.var[:, None, None] + 1e-5
+            ) * blk.bn.scale[:, None, None] + blk.bn.shift[:, None, None]
             y = np.maximum(bn, 0.0)
-            if ci != co:
-                res = np.einsum("kc,chw->khw", w.entries[f"{bp}.proj.w"], x) + w.entries[f"{bp}.proj.b"][:, None, None]
+            if blk.proj is not None:
+                res = np.einsum("kc,chw->khw", blk.proj[0], x) + blk.proj[1][:, None, None]
             else:
                 res = x
             x = y + res
@@ -329,7 +321,7 @@ class TestGridFile:
             load_grid(path)
 
     def test_truncated_payload(self, tmp_path):
-        grid = zero_grid(2, SPEC)
+        grid = BevGrid(np.zeros((2, SPEC.h, SPEC.w)), SPEC)
         path = tmp_path / "g.bevgrid"
         save_grid(grid, path)
         path.write_bytes(path.read_bytes()[:-8])
@@ -337,7 +329,7 @@ class TestGridFile:
             load_grid(path)
 
     def test_non_finite_rejected(self, tmp_path):
-        grid = zero_grid(1, SPEC)
+        grid = BevGrid(np.zeros((1, SPEC.h, SPEC.w)), SPEC)
         grid.data[0, 0, 0] = 1.0
         path = tmp_path / "g.bevgrid"
         save_grid(grid, path)

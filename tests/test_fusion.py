@@ -2,24 +2,21 @@ import numpy as np
 import pytest
 
 import helpers
-from rcbev.bev import BevGrid, BevSpec, CbrBlockParams
+from rcbev.bev import BevGrid, BevSpec, CbrBlockParams, cbr_residual
 from rcbev.errors import ConfigError, ShapeError
 from rcbev.fusion import (
     AlignParams,
     DeformAttnParams,
     FuseParams,
     add_pos_embed,
-    build_align_params,
-    build_fuse_params,
-    cbr_block,
     channel_spatial_fuse,
     cross_align,
     deform_attn,
     deform_attn_weights,
-    tensor_specs,
+    fusion_schema,
 )
 from rcbev.nn import identity_norm
-from rcbev.weights import init_weights
+from rcbev.weights import init_weights, record_tensors
 
 rng = np.random.default_rng(31)
 
@@ -237,15 +234,17 @@ class TestCbrAndFuse:
             k[i, i, 1, 1] = 1.0
         p = CbrBlockParams(k, np.zeros(c), identity_norm(c, eps=1e-300, batch=True))
         x = np.abs(rng.standard_normal((c, 5, 5)))
-        assert np.abs(cbr_block(x, p) - x).max() < 1e-12
+        # the CBR path reproduces x, and the identity skip adds x again
+        assert np.abs(cbr_residual(x, p) - 2 * x).max() < 1e-12
 
     def test_cbr_relu_floor(self):
         c = 2
         p = CbrBlockParams(
             np.zeros((c, c, 3, 3)), np.full(c, -100.0), identity_norm(c, batch=True)
         )
-        out = cbr_block(rng.standard_normal((c, 4, 4)), p)
-        assert not out.any()
+        x = rng.standard_normal((c, 4, 4))
+        # the CBR path is floored to zero, so only the identity skip remains
+        assert np.array_equal(cbr_residual(x, p), x)
 
     def test_cbr_matches_composed_oracle(self):
         ci, co = 2, 3
@@ -257,14 +256,16 @@ class TestCbrAndFuse:
         bn_var = rng.uniform(0.5, 2.0, co)
         from rcbev.nn import NormParams
 
-        p = CbrBlockParams(k, b, NormParams(bn_scale, bn_shift, 1e-5, mean=bn_mean, var=bn_var))
+        proj_w, proj_b = rng.standard_normal((co, ci)), rng.standard_normal(co)
+        p = CbrBlockParams(k, b, NormParams(bn_scale, bn_shift, 1e-5, mean=bn_mean, var=bn_var), (proj_w, proj_b))
         x = rng.standard_normal((ci, 6, 6))
         conv = helpers.loop_conv3x3(x, k, b)
         bn = (conv - bn_mean[:, None, None]) / np.sqrt(bn_var[:, None, None] + 1e-5) * bn_scale[
             :, None, None
         ] + bn_shift[:, None, None]
-        ref = np.maximum(bn, 0.0)
-        assert np.abs(cbr_block(x, p) - ref).max() < 1e-9
+        skip = np.einsum("kc,chw->khw", proj_w, x) + proj_b[:, None, None]
+        ref = np.maximum(bn, 0.0) + skip
+        assert np.abs(cbr_residual(x, p) - ref).max() < 1e-9
 
     def test_concat_channel_count(self):
         c, h, w = 3, 4, 4
@@ -329,20 +330,18 @@ class TestCbrAndFuse:
 class TestParamBuilders:
     def test_tensor_specs_and_builders_roundtrip(self):
         c_cam, c_rad, h, w, m, k = 4, 2, 6, 6, 2, 3
-        specs = tensor_specs(c_cam, c_rad, h, w, m, k, c_fused=8, fuse_blocks=2)
-        ws = init_weights(specs, 0)
-        align = build_align_params(ws, c_cam, c_rad, h, w, m, k)
+        dims = (c_cam, c_rad, h, w, m, k, 8, 2, 1e-5)  # c_fused=8, fuse_blocks=2
+        ws = init_weights(record_tensors(fusion_schema, *dims), 0)
+        align, fuse = fusion_schema(ws, *dims)
         assert align.r2c.adapt is not None  # c_rad != c_cam needs mapping
         assert align.r2c.w_val.shape == (m, c_cam // m, c_cam)
-        fuse = build_fuse_params(ws)
         assert len(fuse.blocks) == 2
         assert fuse.res.proj is not None  # concat 6 -> fused 8 needs a 1x1 skip
         # concat width equal to fused width means the residual proj is absent
-        specs2 = tensor_specs(3, 3, h, w, 1, 2, c_fused=6, fuse_blocks=1)
-        ws2 = init_weights(specs2, 0)
-        fuse2 = build_fuse_params(ws2)
+        dims2 = (3, 3, h, w, 1, 2, 6, 1, 1e-5)
+        _, fuse2 = fusion_schema(init_weights(record_tensors(fusion_schema, *dims2), 0), *dims2)
         assert fuse2.res.proj is None
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):
-            tensor_specs(5, 5, 4, 4, 2, 2, c_fused=10, fuse_blocks=1)
+            record_tensors(fusion_schema, 5, 5, 4, 4, 2, 2, 10, 1, 1e-5)

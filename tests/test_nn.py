@@ -11,7 +11,6 @@ from rcbev.nn import (
     NormParams,
     batch_norm_2d,
     bilinear_sample,
-    bilinear_sample_many,
     conv3x3,
     identity_norm,
     layer_norm,
@@ -238,14 +237,6 @@ class TestBilinear:
             ref = helpers.bilinear_point(g, u, v)
             assert np.abs(bilinear_sample(g, (u, v)) - ref).max() < 1e-12
 
-    def test_many_matches_scalar(self):
-        g = rng.standard_normal((3, 7, 9))
-        uv = np.stack([rng.uniform(-2, 10, 300), rng.uniform(-2, 9, 300)], axis=1)
-        got = bilinear_sample_many(g, uv)
-        for i in range(uv.shape[0]):
-            ref = bilinear_sample(g, uv[i])
-            assert np.abs(got[i] - ref).max() < 1e-12
-
 
 def test_ordered_sum_is_permutation_independent():
     x = rng.standard_normal((40, 40))
@@ -253,24 +244,6 @@ def test_ordered_sum_is_permutation_independent():
     for _ in range(10):
         p = rng.permutation(40)
         assert np.array_equal(ordered_sum(x[:, p], axis=1), total)
-
-
-class TestConvStride:
-    def test_stride_two_picks_alternate_centers(self):
-        x = np.arange(16, dtype=float).reshape(1, 4, 4)
-        k = np.zeros((1, 1, 3, 3))
-        k[0, 0, 1, 1] = 1.0
-        out = conv3x3(x, k, np.zeros(1), stride=2, pad=1)
-        assert out.shape == (1, 2, 2)
-        assert np.array_equal(out[0], [[0.0, 2.0], [8.0, 10.0]])
-
-    def test_stride_two_matches_strided_naive(self):
-        x = rng.standard_normal((2, 6, 6))
-        k = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal(3)
-        full = helpers.loop_conv3x3(x, k, b)
-        out = conv3x3(x, k, b, stride=2, pad=1)
-        assert np.abs(out - full[:, ::2, ::2]).max() < 1e-10
 
 
 def test_bilinear_outer_corner_exact():

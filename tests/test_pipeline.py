@@ -281,6 +281,24 @@ class TestCli:
         assert rc == 1
         assert "align" in capsys.readouterr().err
 
+    def test_manifest_of_other_config_rejected(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        cfg_path = tmp_path / "cfg.txt"
+        write_tiny_config(cfg_path)
+        bigger = replace(tiny_pipeline_config(), fuse_blocks=4, enc_blocks=2)
+        manifest = tmp_path / "w.json"
+        save_weights(init_weights(model_tensors(bigger), 0), manifest)
+        radar = tmp_path / "scene.csv"
+        assert cli_main(["synth", "--config", str(cfg_path), "--out", str(radar)]) == 0
+        rc = cli_main([
+            "extract", str(radar), "--config", str(cfg_path), "--weights", str(manifest),
+            "--out", str(tmp_path / "r.bevgrid"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "weights" in err and "fuse.cbr2" in err
+
     def test_dump_intermediates(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         write_tiny_config(cfg_path)

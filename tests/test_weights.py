@@ -1,11 +1,15 @@
+import hashlib
 import json
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rcbev.bev import BevSpec
-from rcbev.config import PipelineConfig, model_tensors
+from rcbev.config import PipelineConfig, config_from_kv, model_schema, model_tensors
 from rcbev.errors import ConfigError, DataError, FormatError, WeightLookupError
+from rcbev.selfcheck import tiny_pipeline_config
 from rcbev.weights import (
     TensorSpec,
     init_weights,
@@ -93,6 +97,11 @@ def test_bad_dimension_rejected():
         init_weights([TensorSpec("w", (0, 3))], 0)
 
 
+def test_non_positive_config_dim_rejected():
+    with pytest.raises(ConfigError):
+        model_tensors(replace(tiny_pipeline_config(), radar_channels=-4))
+
+
 def test_shape_payload_mismatch(tmp_path):
     path = tmp_path / "w.json"
     manifest = {
@@ -160,3 +169,79 @@ def test_full_model_enumeration_roundtrips(tmp_path):
     assert np.array_equal(ws.get("stage1.inject.gamma"), np.zeros(8))
     assert np.array_equal(ws.get("stage1.tf.attn.head0.beta"), np.ones(1))
     assert np.array_equal(ws.get("align.pos.cam"), np.zeros((8, 16, 16)))
+
+
+def write_manifest(dirpath, manifest, payload=b""):
+    path = dirpath / "w.json"
+    path.write_text(json.dumps(manifest))
+    (dirpath / "w.json.bin").write_bytes(payload)
+    return path
+
+
+def one_tensor(shape, byte_length=16, payload="w.json.bin"):
+    record = {"name": "t", "shape": shape, "dtype": "f32", "byte_offset": 0, "byte_length": byte_length}
+    return {"format_version": 1, "seed": 0, "payload": payload, "tensors": [record]}
+
+
+@pytest.mark.parametrize(
+    "manifest, payload",
+    [
+        pytest.param(one_tensor([-2, -2]), bytes(16), id="negative-dims"),
+        pytest.param(one_tensor("4"), bytes(16), id="string-shape"),
+        pytest.param(one_tensor([2.5, 2], byte_length=20), bytes(20), id="float-dim"),
+        pytest.param(one_tensor([0], byte_length=0), b"", id="zero-size"),
+        pytest.param([one_tensor([4])], bytes(16), id="top-level-list"),
+        pytest.param(one_tensor([4], payload="../w.json.bin"), bytes(16), id="payload-parent-path"),
+    ],
+)
+def test_malformed_manifest_rejected(tmp_path, manifest, payload):
+    with pytest.raises(FormatError):
+        load_weights(write_manifest(tmp_path, manifest, payload))
+
+
+def test_absolute_payload_path_rejected(tmp_path):
+    outside = tmp_path / "outside.bin"
+    outside.write_bytes(bytes(16))
+    (tmp_path / "m").mkdir()
+    with pytest.raises(FormatError):
+        load_weights(write_manifest(tmp_path / "m", one_tensor([4], payload=str(outside)), bytes(16)))
+
+
+# sha256 of repr([(name, shape, init), ...]) for model_tensors, computed on the
+# code before the schema functions replaced the separate init and load specs
+SCHEMA_SHA256 = {
+    "default": "ef665b4afcf25fc40d04d209491cb0980770a62067c454c95db643981f32d504",
+    "tiny": "4ff8df0351905b62fc972c14516a6619f663a5a4f5f666beb4f2cccb629766eb",
+    "dense": "2a22ec64a7c9a6ba951c3ca9aa912afbf35d298e8842d2cd6c8e3e160a0a082f",
+}
+PINNED_CONFIGS = {
+    "default": PipelineConfig,
+    "tiny": tiny_pipeline_config,
+    "dense": lambda: config_from_kv({"bev.resolution": "3.2"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_schema_pinned(name):
+    specs = model_tensors(PINNED_CONFIGS[name]())
+    digest = hashlib.sha256(repr([(s.name, s.shape, s.init) for s in specs]).encode()).hexdigest()
+    assert digest == SCHEMA_SHA256[name]
+
+
+class CountingSource:
+    def __init__(self, ws):
+        self.ws = ws
+        self.calls = Counter()
+
+    def require(self, name, shape, init):
+        self.calls[name] += 1
+        return self.ws.require(name, shape)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_schema_load_uses_every_tensor_once(name):
+    cfg = PINNED_CONFIGS[name]()
+    ws = init_weights(model_tensors(cfg), 0)
+    src = CountingSource(ws)
+    model_schema(src, cfg)
+    assert src.calls == Counter(ws.names())
