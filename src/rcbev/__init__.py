@@ -41,8 +41,6 @@ from .ingest import (
     PointFeatureSet,
     RadarPoint,
     SceneConfig,
-    SweepTransform,
-    accumulate_sweeps,
     assemble_features,
     filter_roi,
     load_point_cloud,

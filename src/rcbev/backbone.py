@@ -39,10 +39,7 @@ from .weights import (
     INIT_ONES,
     INIT_ZEROS,
     TensorSource,
-    TensorSpec,
-    WeightSet,
     linear_schema,
-    record_tensors,
 )
 
 
@@ -269,12 +266,11 @@ def extract(f_t: np.ndarray, f_p: np.ndarray, p: ExtractionParams) -> np.ndarray
     return y + mlp(layer_norm(y, p.ffn_ln), p.ffn)
 
 
-def dual_backbone_forward(feats: PointFeatureSet, w: WeightSet, arch: BackboneArch) -> BackboneResult:
+def dual_backbone_forward(feats: PointFeatureSet, params: BackboneParams) -> BackboneResult:
     """Run all stages of both streams with per-stage inject/extract coupling,
     then merge the streams with a linear layer over their concatenation."""
     if len(feats) == 0:
         raise EmptyInputError("dual_backbone_forward requires at least one point")
-    params = backbone_schema(w, arch)
     f_p = as_f64(feats.features)
     f_t = f_p
     coords = as_f64(feats.coords)
@@ -379,7 +375,3 @@ def backbone_schema(src: TensorSource, arch: BackboneArch) -> BackboneParams:
         prev = width
     out = arch.out_channels
     return BackboneParams(tuple(stages), *linear_schema(src, "merge", out, 2 * out))
-
-
-def tensor_specs(arch: BackboneArch) -> list[TensorSpec]:
-    return record_tensors(backbone_schema, arch)

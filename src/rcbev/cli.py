@@ -27,7 +27,7 @@ from .pipeline import (
     load_model,
     run_pipeline,
 )
-from .selfcheck import max_workers_from_env, run_selfcheck
+from .selfcheck import run_selfcheck
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -78,7 +78,7 @@ def cmd_fuse(args) -> int:
     runner = _StageRunner(report)
     radar = runner.run("load-radar", lambda: load_grid(args.radar_grid))
     camera = runner.run("load-camera", lambda: load_grid(args.camera_grid))
-    _, params = runner.run("weights", lambda: load_model(cfg))
+    params = runner.run("weights", lambda: load_model(cfg))
     _, _, fused = fusion_branch(camera, radar, params.fusion, runner)
     save_grid(fused, out_path)
     print(report.to_text())
@@ -118,7 +118,7 @@ def cmd_gen_cam(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    report = run_selfcheck(perturb=args.perturb, max_workers=max_workers_from_env())
+    report = run_selfcheck()
     print(report.to_text())
     return 0 if report.passed else 1
 
@@ -159,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_cam)
 
     p = sub.add_parser("selfcheck", help="run the oracle/identity verification suite")
-    p.add_argument("--perturb", type=str, default=None, help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_selfcheck)
 
     p = sub.add_parser("bench", help="deformable vs dense cross-attention scaling table")

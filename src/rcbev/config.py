@@ -46,7 +46,6 @@ class PipelineConfig:
     fuse_blocks: int = 3  # trailing residual CBR blocks
     cam_modes: int = 6  # cosine modes per channel in the synthetic camera BEV
     # run parameters
-    sweeps: int = 6  # radar sweeps accumulated per frame
     seed: int = 0  # seeds weight init and synthetic inputs
     eps: float = 1e-5  # normalization epsilon
     weights_path: Optional[str] = None  # load manifest instead of seeded init
@@ -56,10 +55,24 @@ class PipelineConfig:
     def __post_init__(self):
         if len(self.stage_widths) < 1:
             raise ConfigError("need at least one backbone stage")
+        if self.enc_blocks < 0 or self.fuse_blocks < 0:
+            raise ConfigError(f"block counts must be >= 0, got enc {self.enc_blocks}, fuse {self.fuse_blocks}")
+        sizes = {
+            "radar_channels": self.radar_channels,
+            "cam_channels": self.cam_channels,
+            "fused_channels": self.fused_channels,
+            "rcs_out": self.rcs_out,
+            "deform_heads": self.deform_heads,
+            "deform_points": self.deform_points,
+            "cam_modes": self.cam_modes,
+            "ffn_mult": self.ffn_mult,
+        }
+        sizes.update({f"rcs_hidden[{i}]": h for i, h in enumerate(self.rcs_hidden)})
+        bad = [f"{name} = {v}" for name, v in sizes.items() if v <= 0]
+        if bad:
+            raise ConfigError(f"sizes must be positive, got {', '.join(bad)}")
         if self.radar_channels % self.deform_heads or self.cam_channels % self.deform_heads:
             raise ConfigError("deform_heads must divide both radar and camera channels")
-        if self.sweeps < 1:
-            raise ConfigError("sweeps must be >= 1")
 
     @property
     def point_channels(self) -> int:
@@ -232,7 +245,6 @@ def config_from_kv(kv: dict[str, str], base: Optional[PipelineConfig] = None) ->
         "cam.modes": ("cam_modes", _as_int),
         "fuse.channels": ("fused_channels", _as_int),
         "fuse.blocks": ("fuse_blocks", _as_int),
-        "pipeline.sweeps": ("sweeps", _as_int),
         "pipeline.seed": ("seed", _as_int),
         "pipeline.eps": ("eps", _as_float),
         "pipeline.weights": ("weights_path", lambda _k, v: v),
@@ -265,10 +277,7 @@ def config_from_kv(kv: dict[str, str], base: Optional[PipelineConfig] = None) ->
     )
     updates["rcs_bounds"] = (rcs_lo, rcs_hi)
     updates["scatter"] = ScatterConfig(scale, cap)
-    scene = _scene_from_kv(kv, cfg.scene)
-    if "scene.n_sweeps" not in kv and "pipeline.sweeps" in kv:
-        scene = replace(scene, n_sweeps=updates["sweeps"])
-    updates["scene"] = scene
+    updates["scene"] = _scene_from_kv(kv, cfg.scene)
     return replace(cfg, **updates)
 
 

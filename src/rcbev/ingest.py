@@ -1,8 +1,8 @@
-"""Radar point-cloud ingestion: file formats, multi-sweep accumulation,
-ROI filtering, per-point feature assembly and synthetic test scenes.
+"""Radar point-cloud ingestion: file formats, ROI filtering, per-point
+feature assembly and synthetic test scenes.
 
-Point order is canonical (sorted by sweep_offset, x, y, z) after load,
-accumulation or synthesis, so every downstream summation is bit-deterministic.
+Point order is canonical (sorted by sweep_offset, x, y, z) after load or
+synthesis, so every downstream summation is bit-deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -60,31 +60,6 @@ class PointCloud:
 
 def canonical(points: Iterable[RadarPoint], frame_id: str = "", compensated: bool = True) -> PointCloud:
     return PointCloud(tuple(sorted(points, key=RadarPoint.sort_key)), frame_id, compensated)
-
-
-@dataclass(frozen=True)
-class SweepTransform:
-    """2D rigid transform mapping a past sweep's frame into the key frame."""
-
-    angle: float  # radians, in (-pi, pi]
-    tx: float = 0.0
-    ty: float = 0.0
-
-    def __post_init__(self):
-        if not (-math.pi < self.angle <= math.pi):
-            raise ConfigError(f"rotation angle must be in (-pi, pi], got {self.angle}")
-
-    @staticmethod
-    def identity() -> "SweepTransform":
-        return SweepTransform(0.0, 0.0, 0.0)
-
-    def apply_point(self, x: float, y: float) -> tuple[float, float]:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return c * x - s * y + self.tx, s * x + c * y + self.ty
-
-    def apply_vector(self, vx: float, vy: float) -> tuple[float, float]:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return c * vx - s * vy, s * vx + c * vy
 
 
 @dataclass(frozen=True)
@@ -194,22 +169,8 @@ def save_point_cloud_binary(cloud: PointCloud, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# transforms and featurization
+# filtering and featurization
 # ---------------------------------------------------------------------------
-
-def accumulate_sweeps(sweeps: Sequence[tuple[PointCloud, SweepTransform]]) -> PointCloud:
-    """Map every sweep into the key frame and merge; Doppler vectors rotate
-    with the transform, z / RCS / sweep_offset pass through."""
-    merged: list[RadarPoint] = []
-    frame_id = sweeps[0][0].frame_id if sweeps else ""
-    compensated = all(cloud.compensated for cloud, _ in sweeps)
-    for cloud, tf in sweeps:
-        for p in cloud.points:
-            x, y = tf.apply_point(p.x, p.y)
-            vx, vy = tf.apply_vector(p.vx, p.vy)
-            merged.append(RadarPoint(x, y, p.z, p.rcs_dbsm, vx, vy, p.sweep_offset))
-    return canonical(merged, frame_id, compensated)
-
 
 def filter_roi(cloud: PointCloud, spec) -> PointCloud:
     """Keep points with x in [x_min, x_max) and y in [y_min, y_max)."""

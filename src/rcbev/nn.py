@@ -1,5 +1,5 @@
-"""Minimal numerical-layer toolkit: dense layers, norms, softmax, pooling,
-3x3 convolution and bilinear sampling.
+"""Minimal numerical-layer toolkit: dense layers, norms, softmax, pooling
+and 3x3 convolution.
 
 All arithmetic is float64. Contractions deliberately avoid BLAS: channel
 contractions go through np.einsum(optimize=False) and reductions along
@@ -10,7 +10,7 @@ so results are bit-identical under row permutations and thread counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -209,28 +209,3 @@ def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
             cols[:, dy, dx] = xp[:, dy : dy + h, dx : dx + w]
     out = np.einsum("oiyx,iyxhw->ohw", kernels, cols, optimize=False)
     return out + bias[:, None, None]
-
-
-def bilinear_sample(grid: np.ndarray, xy: Sequence[float]) -> np.ndarray:
-    """Sample a C x H x W grid at continuous pixel coordinate (u, v).
-
-    u runs along width, v along height. The four nearest pixel centers are
-    blended; neighbors outside the grid contribute zeros.
-    """
-    grid = as_f64(grid)
-    if grid.ndim != 3:
-        raise ShapeError(f"bilinear_sample expects C x H x W, got {grid.shape}")
-    u, v = float(xy[0]), float(xy[1])
-    c, h, w = grid.shape
-    x0, y0 = int(np.floor(u)), int(np.floor(v))
-    fx, fy = u - x0, v - y0
-    out = np.zeros(c)
-    for (xi, yi, wt) in (
-        (x0, y0, (1 - fx) * (1 - fy)),
-        (x0 + 1, y0, fx * (1 - fy)),
-        (x0, y0 + 1, (1 - fx) * fy),
-        (x0 + 1, y0 + 1, fx * fy),
-    ):
-        if 0 <= xi < w and 0 <= yi < h:
-            out += wt * grid[:, yi, xi]
-    return out

@@ -1,7 +1,9 @@
-"""Naive reference implementations used by the selfcheck suite.
+"""Reference implementations that the selfcheck suite and the tests compare
+the kernels against.
 
-Everything here is written as plain loops or textbook formulas, independent of
-the vectorized kernels it cross-checks.
+Everything here is written as plain loops, math.fsum or textbook formulas,
+independent of the vectorized kernels it cross-checks, so every comparison is
+a genuine dual-route check.
 """
 
 from __future__ import annotations
@@ -11,92 +13,106 @@ import math
 import numpy as np
 
 
-def naive_linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def loop_matmul(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y[i, o] = sum_j w[o, j] x[i, j] + b[o], accumulated with fsum."""
     n, cin = x.shape
     cout = w.shape[0]
     out = np.zeros((n, cout))
     for i in range(n):
         for o in range(cout):
-            acc = b[o]
-            for j in range(cin):
-                acc += w[o, j] * x[i, j]
-            out[i, o] = acc
+            out[i, o] = b[o] + math.fsum(w[o, j] * x[i, j] for j in range(cin))
     return out
 
 
-def naive_conv3x3(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
+def loop_conv3x3(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Zero-padded 3x3 cross-correlation, each output accumulated with fsum."""
     c_in, h, w = x.shape
     c_out = k.shape[0]
     out = np.zeros((c_out, h, w))
     for o in range(c_out):
         for y in range(h):
-            for xx in range(w):
-                acc = b[o]
+            for col in range(w):
+                terms = []
                 for i in range(c_in):
-                    for dy in (-1, 0, 1):
-                        for dx in (-1, 0, 1):
-                            yy, xs = y + dy, xx + dx
-                            if 0 <= yy < h and 0 <= xs < w:
-                                acc += k[o, i, dy + 1, dx + 1] * x[i, yy, xs]
-                out[o, y, xx] = acc
+                    for dy in range(-1, 2):
+                        for dx in range(-1, 2):
+                            yy, xx = y + dy, col + dx
+                            if 0 <= yy < h and 0 <= xx < w:
+                                terms.append(k[o, i, dy + 1, dx + 1] * x[i, yy, xx])
+                out[o, y, col] = b[o] + math.fsum(terms)
     return out
+
+
+def softmax_rows(m: np.ndarray) -> np.ndarray:
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Scaled dot-product attention, textbook form."""
-    d = q.shape[1]
-    logits = q @ k.T / math.sqrt(d)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return (e / e.sum(axis=1, keepdims=True)) @ v
+    return softmax_rows(q @ k.T / math.sqrt(q.shape[1])) @ v
 
 
-def dense_multi_head_attention(
-    f: np.ndarray,
-    head_projs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    wo: np.ndarray,
-    bo: np.ndarray,
-) -> np.ndarray:
-    outs = [dense_attention(f @ wq.T, f @ wk.T, f @ wv.T) for wq, wk, wv in head_projs]
-    return np.concatenate(outs, axis=1) @ wo.T + bo
+def dense_mha(f: np.ndarray, heads, wo: np.ndarray, bo: np.ndarray) -> np.ndarray:
+    """heads: list of (wq, wk, wv) with d x C projections."""
+    parts = [dense_attention(f @ wq.T, f @ wk.T, f @ wv.T) for wq, wk, wv in heads]
+    return np.concatenate(parts, axis=1) @ wo.T + bo
 
 
-def brute_force_scatter(
-    features: np.ndarray,
-    pixels: np.ndarray,
-    radii: np.ndarray,
-    h: int,
-    w: int,
-) -> np.ndarray:
-    """Per-(pixel, point) predicate evaluation with point-order accumulation."""
-    c = features.shape[1]
+def dmsa_reference(f: np.ndarray, coords: np.ndarray, heads_with_beta, wo: np.ndarray, bo: np.ndarray) -> np.ndarray:
+    """Distance-penalized attention straight from the formula."""
+    n = f.shape[0]
+    d2 = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            d2[i, j] = (coords[i, 0] - coords[j, 0]) ** 2 + (coords[i, 1] - coords[j, 1]) ** 2
+    parts = []
+    for wq, wk, wv, beta in heads_with_beta:
+        q, k, v = f @ wq.T, f @ wk.T, f @ wv.T
+        logits = q @ k.T / math.sqrt(q.shape[1]) - beta * d2
+        parts.append(softmax_rows(logits) @ v)
+    return np.concatenate(parts, axis=1) @ wo.T + bo
+
+
+def scatter_reference(features: np.ndarray, pixels: np.ndarray, radii: np.ndarray, h: int, w: int) -> np.ndarray:
+    """For every pixel, test every point's predicate in canonical point order
+    and accumulate sequentially (same order as the implementation)."""
+    n, c = features.shape
     grid = np.zeros((c, h, w))
+    px = pixels[:, 0].astype(np.int64)
+    py = pixels[:, 1].astype(np.int64)
+    r2 = radii * radii
     for qy in range(h):
+        dy2 = (qy - py).astype(np.float64) ** 2
         for qx in range(w):
-            for i in range(pixels.shape[0]):
-                px, py = pixels[i]
-                dx, dy = qx - px, qy - py
-                if (dx == 0 and dy == 0) or dx * dx + dy * dy < radii[i] * radii[i]:
-                    grid[:, qy, qx] += features[i]
+            dx = (qx - px).astype(np.float64)
+            d2 = dx * dx + dy2
+            hit = (d2 < r2) | ((px == qx) & (py == qy))
+            idxs = np.nonzero(hit)[0]
+            if idxs.size == 0:
+                continue
+            acc = np.zeros(c)
+            for i in idxs:
+                acc += features[i]
+            grid[:, qy, qx] = acc
     return grid
 
 
-def gaussian_point_value(
-    q: tuple[int, int], p: tuple[int, int], c_uv: tuple[float, float], v_rcs: float
-) -> float:
+def gaussian_value(q_xy, p_xy, c_uv, v_rcs: float) -> float:
     """Direct scalar evaluation of one point's Gaussian BEV weight at pixel q."""
-    denom = (c_uv[0] ** 2 + c_uv[1] ** 2) * v_rcs / 3.0
+    denom = (c_uv[0] * c_uv[0] + c_uv[1] * c_uv[1]) * v_rcs / 3.0
     if denom < 1e-9:
-        return 1.0 if q == p else 0.0
-    d2 = (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
+        return 1.0 if tuple(q_xy) == tuple(p_xy) else 0.0
+    d2 = (q_xy[0] - p_xy[0]) ** 2 + (q_xy[1] - p_xy[1]) ** 2
     return math.exp(-d2 / denom)
 
 
-def bilinear_reference(grid: np.ndarray, u: float, v: float) -> np.ndarray:
+def bilinear_point(grid: np.ndarray, u: float, v: float) -> np.ndarray:
     """Zero-padded bilinear interpolation written pointwise."""
     c, h, w = grid.shape
     x0, y0 = math.floor(u), math.floor(v)
     fx, fy = u - x0, v - y0
-    out = np.zeros(c)
+    total = np.zeros(c)
     for xi, yi, wt in (
         (x0, y0, (1 - fx) * (1 - fy)),
         (x0 + 1, y0, fx * (1 - fy)),
@@ -104,67 +120,37 @@ def bilinear_reference(grid: np.ndarray, u: float, v: float) -> np.ndarray:
         (x0 + 1, y0 + 1, fx * fy),
     ):
         if 0 <= xi < w and 0 <= yi < h:
-            out = out + wt * grid[:, yi, xi]
-    return out
+            total = total + wt * grid[:, yi, xi]
+    return total
 
 
-def deform_attention_reference(
-    queries: np.ndarray,
-    values: np.ndarray,
-    ref_points: np.ndarray,
-    w_off: np.ndarray,
-    b_off: np.ndarray,
-    w_att: np.ndarray,
-    b_att: np.ndarray,
-    w_val: np.ndarray,
-    w_out: np.ndarray,
-    adapt: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Nested-loop evaluation: per query, per head, per sampled key: project
-    the query to offsets/weights, sample the raw value grid bilinearly, apply
-    the per-head value and output projections, sum over keys and heads."""
+def deform_reference(queries, values, w_off, b_off, w_att, b_att, w_val, w_out, adapt=None) -> np.ndarray:
+    """Nested-loop evaluation of deformable cross-attention with reference
+    points at pixel centers: sample the raw grid, then project per head."""
     cv, h, w = values.shape
-    m, d = w_val.shape[0], w_val.shape[1]
+    m, d, _ = w_val.shape
     k = w_att.shape[0] // m
-    n = h * w
-    cq = queries.shape[0]
-    z_all = queries.reshape(cq, n).T
     out = np.zeros((cv, h, w))
-    for q in range(n):
-        z = z_all[q]
-        if adapt is not None:
-            z = adapt[0] @ z + adapt[1]
-        offs = (w_off @ z + b_off).reshape(m, k, 2)
-        logits = (w_att @ z + b_att).reshape(m, k)
-        acc = np.zeros(cv)
-        for mi in range(m):
-            e = np.exp(logits[mi] - logits[mi].max())
-            a = e / e.sum()
-            head = np.zeros(d)
-            for ki in range(k):
-                u = ref_points[q, 0] + offs[mi, ki, 0]
-                v = ref_points[q, 1] + offs[mi, ki, 1]
-                sample = bilinear_reference(values, u, v)
-                head = head + a[ki] * (w_val[mi] @ sample)
-            acc = acc + w_out[mi] @ head
-        out[:, q // w, q % w] = acc
+    for qy in range(h):
+        for qx in range(w):
+            z = queries[:, qy, qx]
+            if adapt is not None:
+                z = adapt[0] @ z + adapt[1]
+            offs = (w_off @ z + b_off).reshape(m, k, 2)
+            logits = (w_att @ z + b_att).reshape(m, k)
+            total = np.zeros(cv)
+            for mi in range(m):
+                a = softmax_rows(logits[mi][None, :])[0]
+                head = np.zeros(d)
+                for ki in range(k):
+                    u = qx + offs[mi, ki, 0]
+                    v = qy + offs[mi, ki, 1]
+                    head = head + a[ki] * (w_val[mi] @ bilinear_point(values, u, v))
+                total = total + w_out[mi] @ head
+            out[:, qy, qx] = total
     return out
 
 
-def dense_cross_attention_grid(
-    z: np.ndarray, kv: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
-    block: int = 1024,
-) -> np.ndarray:
-    """Vanilla dense cross-attention over all pixel pairs (the O(H^2 W^2 C)
-    comparator used by the benchmark), row-blocked to bound memory."""
-    q = z @ wq.T
-    k = kv @ wk.T
-    v = kv @ wv.T
-    d = q.shape[1]
-    out = np.empty_like(v, shape=(q.shape[0], v.shape[1]))
-    scale = 1.0 / math.sqrt(d)
-    for i0 in range(0, q.shape[0], block):
-        logits = q[i0 : i0 + block] @ k.T * scale
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        out[i0 : i0 + block] = (e / e.sum(axis=1, keepdims=True)) @ v
-    return out
+def fsum_all(arr) -> float:
+    """Exactly rounded total, independent of element order."""
+    return math.fsum(np.asarray(arr, dtype=np.float64).ravel().tolist())

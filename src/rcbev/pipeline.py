@@ -17,7 +17,6 @@ from .backbone import BackboneResult, dual_backbone_forward
 from .bev import (
     BevGrid,
     BevSpec,
-    CbrBlockParams,
     bev_encode,
     gaussian_bev_map,
     rcs_bev_feature,
@@ -37,7 +36,6 @@ from .ingest import (
     load_point_cloud_binary,
     synth_scene,
 )
-from .nn import MlpParams
 from .weights import WeightSet, check_names, init_weights, load_weights
 
 
@@ -149,11 +147,10 @@ def resolve_weights(cfg: PipelineConfig) -> WeightSet:
     return w
 
 
-def load_model(cfg: PipelineConfig) -> tuple[WeightSet, ModelParams]:
-    """The weight set, and the typed params assembled from it through the
+def load_model(cfg: PipelineConfig) -> ModelParams:
+    """The typed params, assembled from the resolved weight set through the
     model schema, which checks every shape."""
-    w = resolve_weights(cfg)
-    return w, model_schema(w, cfg)
+    return model_schema(resolve_weights(cfg), cfg)
 
 
 def gen_camera_bev(spec: BevSpec, c_c: int, seed: int, modes: int = 6) -> BevGrid:
@@ -176,16 +173,10 @@ def gen_camera_bev(spec: BevSpec, c_c: int, seed: int, modes: int = 6) -> BevGri
 
 
 def radar_branch(
-    cfg: PipelineConfig,
-    cloud: PointCloud,
-    w: WeightSet,
-    encoder: tuple[MlpParams, tuple[CbrBlockParams, ...]],
-    runner: _StageRunner,
+    cfg: PipelineConfig, cloud: PointCloud, params: ModelParams, runner: _StageRunner
 ) -> tuple[BevGrid, BevGrid, BevGrid, BevGrid, Optional[BackboneResult]]:
-    """Point features -> dual backbone -> RCS scatter -> BEV encoder. The
-    backbone takes the weight set, the encoder its typed params."""
-    arch = cfg.backbone_arch()
-    rcs_mlp, enc_blocks = encoder
+    """Point features -> dual backbone -> RCS scatter -> BEV encoder."""
+    rcs_mlp, enc_blocks = params.encoder
 
     def ingest():
         inside = filter_roi(cloud, cfg.bev)
@@ -197,14 +188,14 @@ def radar_branch(
     if len(feats):
         backbone = runner.run(
             "backbone",
-            lambda: dual_backbone_forward(feats, w, arch),
+            lambda: dual_backbone_forward(feats, params.backbone),
             out_array=lambda r: r.fused,
         )
         point_feats = PointFeatureSet(backbone.fused, feats.coords, feats.rcs_norm)
     else:
         runner.report.stages.append(StageReport("backbone", 0.0, ""))
         point_feats = PointFeatureSet(
-            np.zeros((0, arch.out_channels)), feats.coords, feats.rcs_norm
+            np.zeros((0, cfg.point_channels)), feats.coords, feats.rcs_norm
         )
 
     def scatter():
@@ -253,9 +244,7 @@ def run_pipeline(
     report = RunReport()
     runner = _StageRunner(report)
 
-    # params.backbone is only checked here: dual_backbone_forward assembles
-    # the backbone's params from the weight set itself
-    w, params = runner.run("weights", lambda: load_model(cfg))
+    params = runner.run("weights", lambda: load_model(cfg))
 
     def get_cloud() -> PointCloud:
         if cloud is not None:
@@ -269,7 +258,7 @@ def run_pipeline(
 
     in_cloud = runner.run("load", get_cloud)
 
-    radar_bev, f_rcs, base, g_rcs, backbone = radar_branch(cfg, in_cloud, w, params.encoder, runner)
+    radar_bev, f_rcs, base, g_rcs, backbone = radar_branch(cfg, in_cloud, params, runner)
 
     def get_camera() -> BevGrid:
         if camera is not None:

@@ -1,18 +1,16 @@
 """Built-in verification suite.
 
 Runs every oracle-equivalence and analytic-identity property at small sizes
-and reports the measured error of each against its tolerance. Independent
-checks may run on a small thread pool (capped by RCBEV_THREADS); results are
-deterministic and reported in a fixed order.
+and reports the measured error of each against its tolerance, in a fixed
+order. The references come from rcbev.oracles, which the tests share.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -40,13 +38,11 @@ from .bev import (
     to_pixel,
 )
 from .config import PipelineConfig, model_tensors
-from .errors import ConfigError
-from .fusion import AlignParams, DeformAttnParams, FuseParams, channel_spatial_fuse, cross_align, deform_attn, pixel_centers
+from .fusion import AlignParams, DeformAttnParams, FuseParams, channel_spatial_fuse, cross_align, deform_attn
 from .ingest import ClusterSpec, PointFeatureSet, SceneConfig
 from .nn import (
     MlpLayer,
     MlpParams,
-    bilinear_sample,
     conv3x3,
     identity_norm,
     layer_norm,
@@ -118,7 +114,7 @@ def check_linear_oracle() -> tuple[float, str]:
         x = rng.standard_normal((n, cin))
         w = rng.standard_normal((cout, cin))
         b = rng.standard_normal(cout)
-        worst = max(worst, _maxabs(linear(x, w, b), oracles.naive_linear(x, w, b)))
+        worst = max(worst, _maxabs(linear(x, w, b), oracles.loop_matmul(x, w, b)))
     return worst, "20 random cases vs triple loop"
 
 
@@ -132,8 +128,8 @@ def check_mlp_compose() -> tuple[float, str]:
             MlpLayer(rng.standard_normal((dims[2], dims[1])), rng.standard_normal(dims[2]), False),
         )
         x = rng.standard_normal((5, dims[0]))
-        step = np.maximum(oracles.naive_linear(x, layers[0].w, layers[0].b), 0.0)
-        ref = oracles.naive_linear(step, layers[1].w, layers[1].b)
+        step = np.maximum(oracles.loop_matmul(x, layers[0].w, layers[0].b), 0.0)
+        ref = oracles.loop_matmul(step, layers[1].w, layers[1].b)
         worst = max(worst, _maxabs(mlp(x, MlpParams(layers)), ref))
     return worst, "2-layer vs layer-by-layer oracle"
 
@@ -143,7 +139,7 @@ def check_conv_oracle() -> tuple[float, str]:
     x = rng.standard_normal((2, 5, 5))
     k = rng.standard_normal((3, 2, 3, 3))
     b = rng.standard_normal(3)
-    return _maxabs(conv3x3(x, k, b), oracles.naive_conv3x3(x, k, b)), "2x5x5 -> 3 channels, 6-loop oracle"
+    return _maxabs(conv3x3(x, k, b), oracles.loop_conv3x3(x, k, b)), "2x5x5 -> 3 channels, 6-loop oracle"
 
 
 def check_softmax() -> tuple[float, str]:
@@ -164,14 +160,31 @@ def check_layer_norm() -> tuple[float, str]:
     return err, "normalized rows: mean 0, var 1"
 
 
+def _sampler_params(c: int, du: float = 0.0, dv: float = 0.0) -> DeformAttnParams:
+    """M=K=1 with zero offset and attention projections and identity value
+    and output projections: deform_attn then reads the value grid at every
+    pixel center plus (du, dv)."""
+    return DeformAttnParams(
+        m=1, k=1,
+        w_off=np.zeros((2, c)), b_off=np.array([du, dv]),
+        w_att=np.zeros((1, c)), b_att=np.zeros(1),
+        w_val=np.eye(c)[None], w_out=np.eye(c)[None],
+    )
+
+
+def _shift_sample(g: np.ndarray, du: float, dv: float) -> np.ndarray:
+    return deform_attn(np.zeros_like(g), None, g, _sampler_params(g.shape[0], du, dv))
+
+
 def check_bilinear() -> tuple[float, str]:
     rng = np.random.default_rng(106)
     g = rng.standard_normal((3, 6, 7))
-    err = _maxabs(bilinear_sample(g, (3.0, 2.0)), g[:, 2, 3])
-    mid = bilinear_sample(g, (3.5, 2.0))
-    err = max(err, _maxabs(mid, 0.5 * (g[:, 2, 3] + g[:, 2, 4])))
-    err = max(err, _maxabs(bilinear_sample(g, (-5.0, -5.0)), np.zeros(3)))
-    return err, "integer exactness, midpoint, zero padding"
+    right = np.zeros_like(g)  # g one pixel to the right, zero past the edge
+    right[:, :, :-1] = g[:, :, 1:]
+    err = _maxabs(_shift_sample(g, 1.0, 0.0), right)
+    err = max(err, _maxabs(_shift_sample(g, 0.5, 0.0), 0.5 * (g + right)))
+    err = max(err, _maxabs(_shift_sample(g, -50.0, -50.0), np.zeros_like(g)))
+    return err, "deform_attn sampling: integer shift, midpoint, zero padding"
 
 
 def check_maxpool_permutation() -> tuple[float, str]:
@@ -197,22 +210,17 @@ def check_weights_roundtrip(tmp_dir: str) -> tuple[float, str]:
     return (0.0 if same and ws.names() == back.names() else 1.0), "save -> load bit equality"
 
 
-def check_dmsa_oracle(perturb: bool = False) -> tuple[float, str]:
+def check_dmsa_oracle() -> tuple[float, str]:
     rng = np.random.default_rng(108)
     worst = 0.0
-    for trial in range(25):
+    for _ in range(25):
         n = int(rng.integers(2, 17))
         h = int(rng.choice([1, 2, 4]))
         c = h * int(rng.integers(1, 5))
         coords = rng.uniform(-20, 20, size=(n, 2))
         f = rng.standard_normal((n, c))
         p = _small_heads(rng, c, h)
-        ref = oracles.dense_multi_head_attention(
-            f, [(hd.wq, hd.wk, hd.wv) for hd in p.heads], p.wo, p.bo
-        )
-        if perturb and trial == 0:
-            bad = AttnHeadParams(p.heads[0].wq + 1e-3, p.heads[0].wk, p.heads[0].wv, 0.0)
-            p = MultiHeadDmsaParams((bad,) + p.heads[1:], p.wo, p.bo)
+        ref = oracles.dense_mha(f, [(hd.wq, hd.wk, hd.wv) for hd in p.heads], p.wo, p.bo)
         worst = max(worst, _maxabs(multi_head_dmsa(f, coords, p), ref))
     return worst, "beta=0 vs dense multi-head attention"
 
@@ -307,7 +315,7 @@ def check_scatter_oracle() -> tuple[float, str]:
             (u, v), (px, py) = to_pixel(feats.coords[i], spec)
             pixels[i] = (px, py)
             radii[i] = min(cfg.radius_scale * (u * u + v * v) * feats.rcs_norm[i], cfg.radius_cap)
-        ref = oracles.brute_force_scatter(feats.features, pixels, radii, spec.h, spec.w)
+        ref = oracles.scatter_reference(feats.features, pixels, radii, spec.h, spec.w)
         worst = max(worst, 0.0 if np.array_equal(grid.data, ref) else _maxabs(grid.data, ref))
     return worst, "bit-equal to per-(pixel,point) oracle"
 
@@ -323,7 +331,7 @@ def check_gaussian_map() -> tuple[float, str]:
     for qy in range(spec.h):
         for qx in range(spec.w):
             if grid[qy, qx] > 0:
-                ref = oracles.gaussian_point_value((qx, qy), (4, 5), (4.3, 5.7), 0.6)
+                ref = oracles.gaussian_value((qx, qy), (4, 5), (4.3, 5.7), 0.6)
                 err = max(err, abs(grid[qy, qx] - ref))
     err = max(err, abs(grid[5, 4] - 1.0))
     two = gaussian_bev_map(np.array([[4.3, 5.7], [6.1, 5.0]]), np.array([0.6, 0.9]), spec, cfg)
@@ -362,9 +370,8 @@ def check_deform_oracle() -> tuple[float, str]:
         values = rng.standard_normal((cv, h, w))
         p = _random_deform(rng, cv, cv, m, k)
         got = deform_attn(queries, None, values, p)
-        ref = oracles.deform_attention_reference(
-            queries, values, pixel_centers(h, w),
-            p.w_off, p.b_off, p.w_att, p.b_att, p.w_val, p.w_out, p.adapt,
+        ref = oracles.deform_reference(
+            queries, values, p.w_off, p.b_off, p.w_att, p.b_att, p.w_val, p.w_out, p.adapt
         )
         worst = max(worst, _maxabs(got, ref))
     return worst, "vs nested-loop reference"
@@ -374,13 +381,7 @@ def check_deform_identity() -> tuple[float, str]:
     rng = np.random.default_rng(116)
     c, h, w = 4, 5, 6
     values = rng.standard_normal((c, h, w))
-    p = DeformAttnParams(
-        m=1, k=1,
-        w_off=np.zeros((2, c)), b_off=np.zeros(2),
-        w_att=np.zeros((1, c)), b_att=np.zeros(1),
-        w_val=np.eye(c)[None], w_out=np.eye(c)[None],
-    )
-    out = deform_attn(rng.standard_normal((c, h, w)), None, values, p)
+    out = deform_attn(rng.standard_normal((c, h, w)), None, values, _sampler_params(c))
     return _maxabs(out, values), "M=K=1, zero offsets, identity projections"
 
 
@@ -451,7 +452,6 @@ def tiny_pipeline_config() -> PipelineConfig:
         fused_channels=16,
         fuse_blocks=2,
         cam_modes=3,
-        sweeps=2,
         seed=5,
         scene=scene,
     )
@@ -493,40 +493,10 @@ CHECKS: list[tuple[str, float, Callable[[], tuple[float, str]]]] = [
 ]
 
 
-def max_workers_from_env(default: int = 4) -> int:
-    raw = os.environ.get("RCBEV_THREADS")
-    if raw is None:
-        return max(1, min(default, os.cpu_count() or 1))
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"RCBEV_THREADS must be an integer, got {raw!r}") from None
-    if val < 1:
-        raise ConfigError(f"RCBEV_THREADS must be >= 1, got {val}")
-    return val
-
-
-def run_selfcheck(perturb: Optional[str] = None, max_workers: Optional[int] = None) -> SelfcheckReport:
-    """Run the full suite; ``perturb`` names a check whose weights get a
-    deliberate bump (sensitivity hook used by tests)."""
-    names = [name for name, _, _ in CHECKS]
-    if perturb is not None and perturb != "dmsa-oracle":
-        raise ConfigError(f"perturb hook supports 'dmsa-oracle', got {perturb!r}")
-    workers = max_workers if max_workers is not None else max_workers_from_env()
-
-    def run_one(entry):
-        name, tol, fn = entry
-        if name == "dmsa-oracle" and perturb == name:
-            measured, detail = check_dmsa_oracle(perturb=True)
-        else:
-            measured, detail = fn()
-        passed = measured <= tol
-        return CheckResult(name, tol, measured, passed, detail)
-
-    if workers == 1:
-        results = [run_one(entry) for entry in CHECKS]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, CHECKS))
-    by_name = {r.name: r for r in results}
-    return SelfcheckReport([by_name[n] for n in names])
+def run_selfcheck() -> SelfcheckReport:
+    """Run every check of CHECKS in order."""
+    results = []
+    for name, tol, fn in CHECKS:
+        measured, detail = fn()
+        results.append(CheckResult(name, tol, measured, measured <= tol, detail))
+    return SelfcheckReport(results)

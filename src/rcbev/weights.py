@@ -238,9 +238,3 @@ def load_weights(manifest_path: str | Path) -> WeightSet:
             f"payload has {len(payload)} bytes but manifest covers {expected_offset}"
         )
     return ws
-
-
-def weights_equal(a: WeightSet, b: WeightSet) -> bool:
-    if a.names() != b.names():
-        return False
-    return all(np.array_equal(a.entries[k], b.entries[k]) for k in a.entries)

@@ -9,17 +9,17 @@ from pathlib import Path
 
 import numpy as np
 
-import helpers
+from rcbev import oracles
 from rcbev.backbone import (
     AttnHeadParams,
     BackboneArch,
     MultiHeadDmsaParams,
     TransformerBlockParams,
+    backbone_schema,
     dual_backbone_forward,
     inject,
     multi_head_dmsa,
     point_block,
-    tensor_specs as backbone_tensor_specs,
     transformer_block,
 )
 from rcbev.backbone import CrossAttnParams, InjectionParams
@@ -31,7 +31,7 @@ from rcbev.ingest import PointFeatureSet, load_point_cloud
 from rcbev.nn import MlpLayer, MlpParams, identity_norm
 from rcbev.pipeline import checksum, run_pipeline
 from rcbev.selfcheck import run_selfcheck, tiny_pipeline_config
-from rcbev.weights import init_weights
+from rcbev.weights import init_weights, record_tensors
 
 GOLDEN_SCENE = Path(__file__).parent / "data" / "golden_scene.csv"
 GOLDEN_FUSED_CHECKSUM = "f82b8c989b0d5773e13057c6ccc6dcc21d75b3c9dca790680b351e82841fa44b"
@@ -61,7 +61,7 @@ def test_criterion_1_dmsa_degeneracy():
         p = MultiHeadDmsaParams(heads, rng.standard_normal((c, c)), rng.standard_normal(c))
         f = rng.standard_normal((n, c))
         coords = rng.uniform(-40, 40, size=(n, 2))
-        ref = helpers.dense_mha(f, [(hd.wq, hd.wk, hd.wv) for hd in p.heads], p.wo, p.bo)
+        ref = oracles.dense_mha(f, [(hd.wq, hd.wk, hd.wv) for hd in p.heads], p.wo, p.bo)
         worst = max(worst, float(np.abs(multi_head_dmsa(f, coords, p) - ref).max()))
     elapsed = time.perf_counter() - t0
     report(
@@ -93,7 +93,7 @@ def test_criterion_2_scatter_oracle():
             (u, v), (px, py) = to_pixel(feats.coords[i], spec)
             pixels[i] = (px, py)
             radii[i] = scatter_radius((u, v), float(feats.rcs_norm[i]), cfg)
-        ref = helpers.scatter_reference(feats.features, pixels, radii, spec.h, spec.w)
+        ref = oracles.scatter_reference(feats.features, pixels, radii, spec.h, spec.w)
         if not np.array_equal(grid.data, ref):
             exact = False
             break
@@ -121,7 +121,7 @@ def test_criterion_3_gaussian_point_evaluation():
         for qy in range(spec.h):
             for qx in range(spec.w):
                 if g[qy, qx] != 0.0:
-                    ref = helpers.gaussian_value((qx, qy), (px, py), uv, v_rcs)
+                    ref = oracles.gaussian_value((qx, qy), (px, py), uv, v_rcs)
                     worst = max(worst, abs(g[qy, qx] - ref))
     pts = np.array([[5.2, 7.9], [11.4, 6.3], [6.0, 8.5]])
     vr = np.array([0.8, 0.4, 0.95])
@@ -158,7 +158,7 @@ def test_criterion_4_deform_oracle():
             w_out=rng.standard_normal((m, cv, d)),
         )
         got = deform_attn(queries, None, values, p)
-        ref = helpers.deform_reference(
+        ref = oracles.deform_reference(
             queries, values, p.w_off, p.b_off, p.w_att, p.b_att, p.w_val, p.w_out
         )
         worst = max(worst, float(np.abs(got - ref).max()))
@@ -242,7 +242,7 @@ def test_criterion_6_identity_configurations():
 def test_criterion_7_permutation_equivariance():
     rng = np.random.default_rng(1007)
     arch = BackboneArch(in_channels=7, widths=(8, 12), dmsa_heads=2)
-    w = init_weights(backbone_tensor_specs(arch), 17)
+    w = init_weights(record_tensors(backbone_schema, arch), 17)
     # give the gates non-trivial values so the whole coupled path is exercised
     w.entries["stage1.inject.gamma"] = rng.standard_normal(8) * 0.5
     w.entries["stage2.inject.gamma"] = rng.standard_normal(12) * 0.5
@@ -250,7 +250,7 @@ def test_criterion_7_permutation_equivariance():
     feats = PointFeatureSet(
         rng.standard_normal((n, 7)), rng.uniform(-20, 20, size=(n, 2)), rng.uniform(0, 1, size=n)
     )
-    res = dual_backbone_forward(feats, w, arch)
+    res = dual_backbone_forward(feats, backbone_schema(w, arch))
 
     mlp_p = MlpParams((MlpLayer(rng.standard_normal((6, 7)), rng.standard_normal(6), True),))
     pb = point_block(feats.features, mlp_p)
@@ -271,7 +271,7 @@ def test_criterion_7_permutation_equivariance():
     for _ in range(5):
         perm = rng.permutation(n)
         shuffled = PointFeatureSet(feats.features[perm], feats.coords[perm], feats.rcs_norm[perm])
-        res_p = dual_backbone_forward(shuffled, w, arch)
+        res_p = dual_backbone_forward(shuffled, backbone_schema(w, arch))
         ok &= np.array_equal(res_p.fused, res.fused[perm])
         ok &= np.array_equal(res_p.f_p, res.f_p[perm])
         ok &= np.array_equal(res_p.f_t, res.f_t[perm])

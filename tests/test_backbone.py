@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import helpers
+from rcbev import oracles
 from rcbev.backbone import (
     AttnHeadParams,
     BackboneArch,
@@ -21,13 +21,12 @@ from rcbev.backbone import (
     multi_head_dmsa,
     pairwise_sq_dist,
     point_block,
-    tensor_specs,
     transformer_block,
 )
 from rcbev.errors import ConfigError, EmptyInputError, ShapeError, WeightLookupError
 from rcbev.ingest import PointFeatureSet
 from rcbev.nn import MlpLayer, MlpParams, identity_norm, layer_norm, mlp
-from rcbev.weights import WeightSet, init_weights
+from rcbev.weights import WeightSet, init_weights, record_tensors
 
 rng = np.random.default_rng(7)
 
@@ -75,7 +74,7 @@ class TestPointBlock:
     def test_matches_composition(self):
         p = MlpParams((MlpLayer(rng.standard_normal((6, 4)), rng.standard_normal(6), True),))
         f = rng.standard_normal((10, 4))
-        g = np.maximum(helpers.loop_matmul(f, p.layers[0].w, p.layers[0].b), 0.0)
+        g = np.maximum(oracles.loop_matmul(f, p.layers[0].w, p.layers[0].b), 0.0)
         pooled = g.max(axis=0)
         ref = np.concatenate([g, np.tile(pooled, (10, 1))], axis=1)
         assert np.abs(point_block(f, p) - ref).max() < 1e-10
@@ -141,7 +140,7 @@ class TestDmsaHead:
         n, d = 9, 4
         q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
         d2 = pairwise_sq_dist(rng.uniform(-10, 10, size=(n, 2)))
-        assert np.abs(dmsa_head(q, k, v, d2, 0.0) - helpers.dense_attention(q, k, v)).max() < 1e-12
+        assert np.abs(dmsa_head(q, k, v, d2, 0.0) - oracles.dense_attention(q, k, v)).max() < 1e-12
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigError):
@@ -188,7 +187,7 @@ class TestMultiHeadDmsa:
             f = rng.standard_normal((n, c))
             coords = rng.uniform(-20, 20, size=(n, 2))
             p = random_mha(c, h)
-            ref = helpers.dense_mha(f, [(hd.wq, hd.wk, hd.wv) for hd in p.heads], p.wo, p.bo)
+            ref = oracles.dense_mha(f, [(hd.wq, hd.wk, hd.wv) for hd in p.heads], p.wo, p.bo)
             assert np.abs(multi_head_dmsa(f, coords, p) - ref).max() < 1e-10
 
     def test_nonzero_beta_matches_formula(self):
@@ -197,7 +196,7 @@ class TestMultiHeadDmsa:
         p = random_mha(c, h, betas)
         f = rng.standard_normal((n, c))
         coords = rng.uniform(-8, 8, size=(n, 2))
-        ref = helpers.dmsa_reference(
+        ref = oracles.dmsa_reference(
             f, coords, [(hd.wq, hd.wk, hd.wv, hd.beta) for hd in p.heads], p.wo, p.bo
         )
         assert np.abs(multi_head_dmsa(f, coords, p) - ref).max() < 1e-10
@@ -290,7 +289,7 @@ class TestInjectExtract:
         qn = layer_norm(f_p, p.attn.lnq)
         kn = layer_norm(f_t, p.attn.lnkv)
         hd = p.attn.heads[0]
-        att = helpers.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T)
+        att = oracles.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T)
         ref = f_p + att @ p.attn.wo.T + p.attn.bo
         assert np.abs(inject(f_p, f_t, p) - ref).max() < 1e-10
 
@@ -332,7 +331,7 @@ class TestInjectExtract:
         qn = layer_norm(f_t, p.attn.lnq)
         kn = layer_norm(f_p, p.attn.lnkv)
         hd = p.attn.heads[0]
-        att = helpers.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T)
+        att = oracles.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T)
         y = f_t + (att @ p.attn.wo.T + p.attn.bo)
         ref = y + mlp(layer_norm(y, p.ffn_ln), p.ffn)
         assert np.abs(extract(f_t, f_p, p) - ref).max() < 1e-10
@@ -357,57 +356,57 @@ def make_feats(n):
 class TestDualBackbone:
     def test_stage_counts_instrumented(self):
         arch = BackboneArch(in_channels=7, widths=(8, 8, 8), dmsa_heads=2)
-        w = init_weights(tensor_specs(arch), 0)
-        res = dual_backbone_forward(make_feats(6), w, arch)
+        w = init_weights(record_tensors(backbone_schema, arch), 0)
+        res = dual_backbone_forward(make_feats(6), backbone_schema(w, arch))
         assert res.inject_calls == 3
         assert res.extract_calls == 3
         assert len(res.stage_outputs) == 3
 
     def test_output_widths(self):
-        w = init_weights(tensor_specs(ARCH), 1)
-        res = dual_backbone_forward(make_feats(5), w, ARCH)
+        w = init_weights(record_tensors(backbone_schema, ARCH), 1)
+        res = dual_backbone_forward(make_feats(5), backbone_schema(w, ARCH))
         assert res.f_p.shape == (5, 12)
         assert res.f_t.shape == (5, 12)
         assert res.fused.shape == (5, 12)
 
     def test_stream_decoupling_with_zero_gates(self):
-        w = init_weights(tensor_specs(ARCH), 2)
+        w = init_weights(record_tensors(backbone_schema, ARCH), 2)
         # gamma starts at zero already; kill extraction attention + ffn to fully decouple
         for name in list(w.entries):
             if ".extract." in name and name.endswith(".w"):
                 w.entries[name] = np.zeros_like(w.entries[name])
         feats = make_feats(6)
-        res = dual_backbone_forward(feats, w, ARCH)
         params = backbone_schema(w, ARCH)
+        res = dual_backbone_forward(feats, params)
         f_p = feats.features
         for st in params.stages:
             f_p = point_block(f_p, st.point_mlp)
         assert np.array_equal(res.f_p, f_p)
 
     def test_permutation_equivariance(self):
-        w = init_weights(tensor_specs(ARCH), 3)
+        params = backbone_schema(init_weights(record_tensors(backbone_schema, ARCH), 3), ARCH)
         feats = make_feats(10)
-        res = dual_backbone_forward(feats, w, ARCH)
+        res = dual_backbone_forward(feats, params)
         for _ in range(3):
             perm = rng.permutation(10)
             shuffled = PointFeatureSet(
                 feats.features[perm], feats.coords[perm], feats.rcs_norm[perm]
             )
-            res_p = dual_backbone_forward(shuffled, w, ARCH)
+            res_p = dual_backbone_forward(shuffled, params)
             assert np.array_equal(res_p.fused, res.fused[perm])
             assert np.array_equal(res_p.f_p, res.f_p[perm])
             assert np.array_equal(res_p.f_t, res.f_t[perm])
 
     def test_matches_straight_line_reimplementation(self):
         arch = BackboneArch(in_channels=7, widths=(8,), dmsa_heads=2)
-        w = init_weights(tensor_specs(arch), 4)
+        w = init_weights(record_tensors(backbone_schema, arch), 4)
         # randomize the gates so the test exercises real coupling
         w.entries["stage1.inject.gamma"] = rng.standard_normal(8)
         w.entries["stage1.tf.attn.head0.beta"] = np.array([0.3])
         w.entries["stage1.tf.attn.head1.beta"] = np.array([1.2])
         feats = make_feats(4)
-        res = dual_backbone_forward(feats, w, arch)
         p = backbone_schema(w, arch)
+        res = dual_backbone_forward(feats, p)
         st = p.stages[0]
         f_p = point_block(feats.features, st.point_mlp)
         f_t = feats.features @ st.tf_in[0].T + st.tf_in[1]
@@ -418,16 +417,16 @@ class TestDualBackbone:
         assert np.abs(res.fused - fused).max() < 1e-9
 
     def test_empty_input_rejected(self):
-        w = init_weights(tensor_specs(ARCH), 0)
+        params = backbone_schema(init_weights(record_tensors(backbone_schema, ARCH), 0), ARCH)
         with pytest.raises(EmptyInputError):
-            dual_backbone_forward(make_feats(0), w, ARCH)
+            dual_backbone_forward(make_feats(0), params)
 
     def test_missing_weights_lookup_error(self):
         with pytest.raises(WeightLookupError):
-            dual_backbone_forward(make_feats(3), WeightSet(), ARCH)
+            backbone_schema(WeightSet(), ARCH)
 
     def test_beta_clamped_at_load(self):
-        w = init_weights(tensor_specs(ARCH), 5)
+        w = init_weights(record_tensors(backbone_schema, ARCH), 5)
         w.entries["stage1.tf.attn.head0.beta"] = np.array([-3.0])
         params = backbone_schema(w, ARCH)
         assert params.stages[0].tf.attn.heads[0].beta == 0.0

@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 
 from rcbev.bench import DEFAULT_SIDES, run_bench
@@ -27,3 +30,12 @@ def test_csv_and_text_outputs():
     assert len(lines) == 1 + 4
     text = rep.to_text()
     assert "deform" in text and "dense" in text and "per_dbl" in text
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    """Every name the traced benchmark wraps or imports still exists."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    spans = importlib.import_module("spans")
+    with spans.Tracer():  # entering looks up every wrapped name
+        pass
+    from rcbev.selfcheck import tiny_pipeline_config  # noqa: F401

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import helpers
+from rcbev import oracles
 from rcbev.bev import (
     BevGrid,
     BevSpec,
@@ -89,7 +89,7 @@ def oracle_scatter(feats, spec, cfg):
         (u, v), (px, py) = to_pixel(feats.coords[i], spec)
         pixels[i] = (px, py)
         radii[i] = scatter_radius((u, v), float(feats.rcs_norm[i]), cfg)
-    return helpers.scatter_reference(feats.features, pixels, radii, spec.h, spec.w)
+    return oracles.scatter_reference(feats.features, pixels, radii, spec.h, spec.w)
 
 
 class TestRcsScatter:
@@ -130,7 +130,7 @@ class TestRcsScatter:
     def test_mass_conservation_radius_zero(self):
         feats = feature_set(25, rcs=np.zeros(25))
         grid = rcs_scatter(feats, SPEC, ScatterConfig())
-        assert helpers.fsum_all(grid.data) == helpers.fsum_all(feats.features)
+        assert oracles.fsum_all(grid.data) == oracles.fsum_all(feats.features)
 
     def test_mass_conservation_general(self):
         cfg = ScatterConfig(radius_scale=0.1, radius_cap=3.0)
@@ -147,7 +147,7 @@ class TestRcsScatter:
                     if (dx == 0 and dy == 0) or dx * dx + dy * dy < r * r:
                         covered += 1
             total += covered * float(feats.features[i].sum())
-        assert abs(helpers.fsum_all(grid.data) - total) < 1e-9
+        assert abs(oracles.fsum_all(grid.data) - total) < 1e-9
 
     def test_monotone_coverage_in_cap(self):
         feats = feature_set(30)
@@ -180,7 +180,7 @@ class TestGaussianMap:
         for qy in range(SPEC.h):
             for qx in range(SPEC.w):
                 if g[qy, qx] != 0.0:
-                    ref = helpers.gaussian_value((qx, qy), (7, 9), uv, v_rcs)
+                    ref = oracles.gaussian_value((qx, qy), (7, 9), uv, v_rcs)
                     assert abs(g[qy, qx] - ref) < 1e-12
 
     def test_max_combination(self):
@@ -256,8 +256,8 @@ class TestRcsBevFeature:
         for y in range(3):
             for x in range(3):
                 row = np.concatenate([f.data[:, y, x], g.data[:, y, x]])[None, :]
-                hidden = np.maximum(helpers.loop_matmul(row, w0, b0), 0.0)
-                ref = helpers.loop_matmul(hidden, w1, b1)
+                hidden = np.maximum(oracles.loop_matmul(row, w0, b0), 0.0)
+                ref = oracles.loop_matmul(hidden, w1, b1)
                 assert np.abs(out.data[:, y, x] - ref[0]).max() < 1e-10
 
 
@@ -292,7 +292,7 @@ class TestBevEncode:
 
         x = np.concatenate([f.data, base.data], axis=0)
         for blk in blocks:
-            conv = helpers.loop_conv3x3(x, blk.conv_w, blk.conv_b)
+            conv = oracles.loop_conv3x3(x, blk.conv_w, blk.conv_b)
             bn = (conv - blk.bn.mean[:, None, None]) / np.sqrt(
                 blk.bn.var[:, None, None] + 1e-5
             ) * blk.bn.scale[:, None, None] + blk.bn.shift[:, None, None]

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-import helpers
+from rcbev import oracles
 from rcbev.bev import BevGrid, BevSpec, CbrBlockParams, cbr_residual
 from rcbev.errors import ConfigError, ShapeError
 from rcbev.fusion import (
@@ -110,7 +112,7 @@ class TestDeformAttn:
             values = rng.standard_normal((cv, h, w))
             p = random_deform(cv, cv, m, k)
             got = deform_attn(queries, None, values, p)
-            ref = helpers.deform_reference(
+            ref = oracles.deform_reference(
                 queries, values, p.w_off, p.b_off, p.w_att, p.b_att, p.w_val, p.w_out, p.adapt
             )
             assert np.abs(got - ref).max() < 1e-10
@@ -121,7 +123,7 @@ class TestDeformAttn:
         values = rng.standard_normal((cv, h, w))
         p = random_deform(cq, cv, 2, 2)
         got = deform_attn(queries, None, values, p)
-        ref = helpers.deform_reference(
+        ref = oracles.deform_reference(
             queries, values, p.w_off, p.b_off, p.w_att, p.b_att, p.w_val, p.w_out, p.adapt
         )
         assert np.abs(got - ref).max() < 1e-10
@@ -167,8 +169,6 @@ class TestCrossAlign:
         f_c = BevGrid(rng.standard_normal((c, h, w)), spec)
         f_r = BevGrid(rng.standard_normal((c, h, w)), spec)
         pos_c, pos_r = rng.standard_normal((2, c, h, w))
-        from dataclasses import replace
-
         params = AlignParams(
             pos_c, pos_r,
             replace(random_deform(c, c, 2, 2), w_out=np.zeros((2, c, c // 2))),
@@ -191,10 +191,10 @@ class TestCrossAlign:
         out_c, out_r = cross_align(f_c, f_r, params)
         cam = f_c.data + pos_c
         rad = f_r.data + pos_r
-        ref_c = cam + helpers.deform_reference(
+        ref_c = cam + oracles.deform_reference(
             rad, cam, r2c.w_off, r2c.b_off, r2c.w_att, r2c.b_att, r2c.w_val, r2c.w_out, r2c.adapt
         )
-        ref_r = rad + helpers.deform_reference(
+        ref_r = rad + oracles.deform_reference(
             cam, rad, c2r.w_off, c2r.b_off, c2r.w_att, c2r.b_att, c2r.w_val, c2r.w_out, c2r.adapt
         )
         assert np.abs(out_c.data - ref_c).max() < 1e-10
@@ -259,7 +259,7 @@ class TestCbrAndFuse:
         proj_w, proj_b = rng.standard_normal((co, ci)), rng.standard_normal(co)
         p = CbrBlockParams(k, b, NormParams(bn_scale, bn_shift, 1e-5, mean=bn_mean, var=bn_var), (proj_w, proj_b))
         x = rng.standard_normal((ci, 6, 6))
-        conv = helpers.loop_conv3x3(x, k, b)
+        conv = oracles.loop_conv3x3(x, k, b)
         bn = (conv - bn_mean[:, None, None]) / np.sqrt(bn_var[:, None, None] + 1e-5) * bn_scale[
             :, None, None
         ] + bn_shift[:, None, None]
@@ -317,7 +317,7 @@ class TestCbrAndFuse:
 
         x = np.concatenate([f_c.data, f_r.data], axis=0)
         for blk in (params.res,) + params.blocks:
-            conv = helpers.loop_conv3x3(x, blk.conv_w, blk.conv_b)
+            conv = oracles.loop_conv3x3(x, blk.conv_w, blk.conv_b)
             bn = (conv - blk.bn.mean[:, None, None]) / np.sqrt(blk.bn.var[:, None, None] + 1e-5) * blk.bn.scale[
                 :, None, None
             ] + blk.bn.shift[:, None, None]
@@ -345,3 +345,52 @@ class TestParamBuilders:
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):
             record_tensors(fusion_schema, 5, 5, 4, 4, 2, 2, 10, 1, 1e-5)
+
+
+def sample_at_offset(g, du, dv):
+    """deform_attn as a pure bilinear sampler: one head, one point, zero
+    offset and attention projections, identity value and output projections,
+    and a constant offset bias, so every pixel reads g at its own center plus
+    (du, dv)."""
+    p = replace(identity_deform(g.shape[0]), b_off=np.array([du, dv]))
+    return deform_attn(np.zeros_like(g), None, g, p)
+
+
+class TestBilinear:
+    def test_integer_coordinate_exact(self):
+        g = rng.standard_normal((4, 5, 6))
+        out = sample_at_offset(g, 2.0, 1.0)
+        assert np.array_equal(out[:, :-1, :-2], g[:, 1:, 2:])
+        # samples that land past the bottom or right edge read zeros
+        assert not out[:, -1:, :].any() and not out[:, :, -2:].any()
+
+    def test_midpoint(self):
+        g = np.zeros((1, 2, 2))
+        g[0, 0, 1] = 1.0
+        assert np.allclose(sample_at_offset(g, 0.5, 0.0)[:, 0, 0], [0.5], atol=1e-15)
+        g = rng.standard_normal((3, 4, 5))
+        right = np.zeros_like(g)
+        right[:, :, :-1] = g[:, :, 1:]
+        assert np.array_equal(sample_at_offset(g, 0.5, 0.0), 0.5 * (g + right))
+
+    def test_outside_is_zero(self):
+        g = rng.standard_normal((3, 4, 4))
+        assert np.array_equal(sample_at_offset(g, -5.0, -5.0), np.zeros((3, 4, 4)))
+
+    def test_linear_along_axes(self):
+        g = rng.standard_normal((2, 6, 6))
+        for _ in range(50):
+            du, dv = rng.uniform(-1.5, 1.5, size=2)
+            out = sample_at_offset(g, du, dv)
+            for y in range(6):
+                for x in range(6):
+                    ref = oracles.bilinear_point(g, x + du, y + dv)
+                    assert np.abs(out[:, y, x] - ref).max() < 1e-12
+
+
+def test_bilinear_outer_corner_exact():
+    g = rng.standard_normal((2, 3, 4))
+    out = sample_at_offset(g, 1.0, 0.0)
+    assert np.array_equal(out[:, 2, 2], g[:, 2, 3])
+    # one step past the corner: zero padding
+    assert np.array_equal(out[:, 2, 3], np.zeros(2))

@@ -10,8 +10,6 @@ from rcbev.ingest import (
     PointCloud,
     RadarPoint,
     SceneConfig,
-    SweepTransform,
-    accumulate_sweeps,
     assemble_features,
     canonical,
     filter_roi,
@@ -95,39 +93,6 @@ class TestPoints:
     def test_positive_sweep_offset_rejected(self):
         with pytest.raises(DataError):
             pt(0.0, 0.0, sweep_offset=0.5)
-
-
-class TestAccumulate:
-    def test_identity_transform(self):
-        cloud = canonical([pt(1, 2), pt(3, 4)])
-        merged = accumulate_sweeps([(cloud, SweepTransform.identity())])
-        assert merged.points == cloud.points
-
-    def test_rotation_90deg(self):
-        cloud = PointCloud((pt(1.0, 0.0, vx=2.0, vy=0.0),))
-        merged = accumulate_sweeps([(cloud, SweepTransform(math.pi / 2))])
-        p = merged.points[0]
-        assert abs(p.x - 0.0) < 1e-12 and abs(p.y - 1.0) < 1e-12
-        assert abs(p.vx - 0.0) < 1e-12 and abs(p.vy - 2.0) < 1e-12
-
-    def test_counts_add(self):
-        a = canonical([pt(i, 0) for i in range(5)])
-        b = canonical([pt(i, 1, sweep_offset=-0.1) for i in range(5)])
-        merged = accumulate_sweeps([(a, SweepTransform.identity()), (b, SweepTransform(0.1, 1, 1))])
-        assert len(merged) == 10
-
-    def test_range_preserved_under_rotation(self):
-        rng = np.random.default_rng(5)
-        points = [pt(float(x), float(y)) for x, y in rng.uniform(-20, 20, size=(30, 2))]
-        cloud = canonical(points)
-        merged = accumulate_sweeps([(cloud, SweepTransform(0.7))])
-        before = sorted(math.hypot(p.x, p.y) for p in cloud.points)
-        after = sorted(math.hypot(p.x, p.y) for p in merged.points)
-        assert np.abs(np.array(before) - np.array(after)).max() < 1e-9
-
-    def test_angle_range_enforced(self):
-        with pytest.raises(ConfigError):
-            SweepTransform(4.0)
 
 
 class TestFilterRoi:
@@ -236,16 +201,3 @@ class TestIngestEdges:
         path.write_text("x,y,z,rcs,vx,vy,sweep_offset,extra\n1,2,3,4,5,6,0,9\n")
         with pytest.raises(FormatError, match="extra"):
             load_point_cloud(path)
-
-
-    def test_compensated_flag_propagates(self):
-        a = PointCloud((pt(1, 0),), "a", compensated=True)
-        b = PointCloud((pt(2, 0),), "b", compensated=False)
-        merged = accumulate_sweeps([(a, SweepTransform.identity()), (b, SweepTransform.identity())])
-        assert merged.compensated is False
-        only_good = accumulate_sweeps([(a, SweepTransform.identity())])
-        assert only_good.compensated is True
-
-    def test_accumulate_nothing(self):
-        merged = accumulate_sweeps([])
-        assert len(merged) == 0 and merged.frame_id == ""

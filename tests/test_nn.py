@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-import helpers
+from rcbev import oracles
 from rcbev.errors import ConfigError, DataError, EmptyInputError, ShapeError
 from rcbev.nn import (
     MlpLayer,
     MlpParams,
     NormParams,
     batch_norm_2d,
-    bilinear_sample,
     conv3x3,
     identity_norm,
     layer_norm,
@@ -37,7 +36,7 @@ class TestLinear:
         x = rng.standard_normal((5, 3))
         w = rng.standard_normal((4, 3))
         b = rng.standard_normal(4)
-        assert np.abs(linear(x, w, b) - helpers.loop_matmul(x, w, b)).max() < 1e-12
+        assert np.abs(linear(x, w, b) - oracles.loop_matmul(x, w, b)).max() < 1e-12
 
     def test_random_cases_against_oracle(self):
         for _ in range(100):
@@ -45,7 +44,7 @@ class TestLinear:
             x = rng.standard_normal((n, cin))
             w = rng.standard_normal((cout, cin))
             b = rng.standard_normal(cout)
-            assert np.abs(linear(x, w, b) - helpers.loop_matmul(x, w, b)).max() < 1e-10
+            assert np.abs(linear(x, w, b) - oracles.loop_matmul(x, w, b)).max() < 1e-10
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -79,8 +78,8 @@ class TestMlp:
                 MlpLayer(rng.standard_normal((d2, d1)), rng.standard_normal(d2), False),
             )
             x = rng.standard_normal((7, d0))
-            hidden = np.maximum(helpers.loop_matmul(x, layers[0].w, layers[0].b), 0.0)
-            ref = helpers.loop_matmul(hidden, layers[1].w, layers[1].b)
+            hidden = np.maximum(oracles.loop_matmul(x, layers[0].w, layers[0].b), 0.0)
+            ref = oracles.loop_matmul(hidden, layers[1].w, layers[1].b)
             assert np.abs(mlp(x, MlpParams(layers)) - ref).max() < 1e-10
 
     def test_unchained_dims_rejected(self):
@@ -183,7 +182,7 @@ class TestConv3x3:
         x = rng.standard_normal((2, 5, 5))
         k = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        assert np.abs(conv3x3(x, k, b) - helpers.loop_conv3x3(x, k, b)).max() < 1e-10
+        assert np.abs(conv3x3(x, k, b) - oracles.loop_conv3x3(x, k, b)).max() < 1e-10
 
     def test_random_cases(self):
         for _ in range(25):
@@ -192,7 +191,7 @@ class TestConv3x3:
             x = rng.standard_normal((ci, h, w))
             k = rng.standard_normal((co, ci, 3, 3))
             b = rng.standard_normal(co)
-            assert np.abs(conv3x3(x, k, b) - helpers.loop_conv3x3(x, k, b)).max() < 1e-10
+            assert np.abs(conv3x3(x, k, b) - oracles.loop_conv3x3(x, k, b)).max() < 1e-10
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
@@ -215,39 +214,9 @@ class TestBatchNorm:
             NormParams(np.ones(1), np.zeros(1), 1e-5, mean=np.zeros(1), var=np.array([-1.0]))
 
 
-class TestBilinear:
-    def test_integer_coordinate_exact(self):
-        g = rng.standard_normal((4, 5, 6))
-        assert np.array_equal(bilinear_sample(g, (3, 2)), g[:, 2, 3])
-
-    def test_midpoint(self):
-        g = np.zeros((1, 2, 2))
-        g[0, 0, 1] = 1.0
-        assert np.allclose(bilinear_sample(g, (0.5, 0.0)), [0.5], atol=1e-15)
-
-    def test_outside_is_zero(self):
-        g = rng.standard_normal((3, 4, 4))
-        assert np.array_equal(bilinear_sample(g, (-5.0, -5.0)), np.zeros(3))
-
-    def test_linear_along_axes(self):
-        g = rng.standard_normal((2, 6, 6))
-        for _ in range(50):
-            u = float(rng.uniform(0, 4.999))
-            v = float(rng.uniform(0, 4.999))
-            ref = helpers.bilinear_point(g, u, v)
-            assert np.abs(bilinear_sample(g, (u, v)) - ref).max() < 1e-12
-
-
 def test_ordered_sum_is_permutation_independent():
     x = rng.standard_normal((40, 40))
     total = ordered_sum(x, axis=1)
     for _ in range(10):
         p = rng.permutation(40)
         assert np.array_equal(ordered_sum(x[:, p], axis=1), total)
-
-
-def test_bilinear_outer_corner_exact():
-    g = rng.standard_normal((2, 3, 4))
-    assert np.array_equal(bilinear_sample(g, (3.0, 2.0)), g[:, 2, 3])
-    # one step past the corner: zero padding
-    assert np.array_equal(bilinear_sample(g, (4.0, 2.0)), np.zeros(2))

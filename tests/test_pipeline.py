@@ -37,6 +37,33 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             config_from_kv({"nope.key": "1"})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"enc_blocks": -1},
+            {"fuse_blocks": -1},
+            {"radar_channels": 0},
+            {"cam_channels": -8},
+            {"fused_channels": 0},
+            {"rcs_out": -1},
+            {"rcs_hidden": (8, 0)},
+            {"deform_heads": 0},
+            {"deform_points": 0},
+            {"cam_modes": -1},
+            {"ffn_mult": 0},
+            "fuse.blocks = -1",
+            "enc.channels = -4",
+        ],
+    )
+    def test_negative_count_or_size_rejected(self, bad, tmp_path):
+        with pytest.raises(ConfigError):
+            if isinstance(bad, str):
+                path = tmp_path / "cfg.txt"
+                path.write_text(bad + "\n")
+                load_config(path)
+            else:
+                small_cfg(**bad)
+
     def test_full_roundtrip(self, tmp_path):
         text = """
         bev.x_min = -8
@@ -59,10 +86,10 @@ class TestConfigFile:
         cam.channels = 8
         fuse.channels = 16
         fuse.blocks = 2
-        pipeline.sweeps = 2
         pipeline.seed = 5
         scene.n_clusters = 2
         scene.points_per_cluster = 3
+        scene.n_sweeps = 2
         scene.cluster.0.bearing_deg = 30
         scene.cluster.0.range_m = 5
         scene.cluster.0.rcs_dbsm = 12
@@ -124,8 +151,8 @@ class TestRunPipeline:
         assert np.all(np.isfinite(out.fused.data))
 
     def test_scatter_count_matches_oracle(self):
-        import helpers
         from dataclasses import replace
+        from rcbev import oracles
         from rcbev.bev import scatter_radius, to_pixel
         from rcbev.ingest import ClusterSpec
 
@@ -155,7 +182,7 @@ class TestRunPipeline:
             (u, v), (px, py) = to_pixel(pf.coords[i], cfg.bev)
             coords[i] = (px, py)
             radii[i] = scatter_radius((u, v), float(pf.rcs_norm[i]), cfg.scatter)
-        ref = helpers.scatter_reference(feats, coords, radii, cfg.bev.h, cfg.bev.w)
+        ref = oracles.scatter_reference(feats, coords, radii, cfg.bev.h, cfg.bev.w)
         got_nonzero = int(np.count_nonzero(out.f_rcs.data.any(axis=0)))
         ref_nonzero = int(np.count_nonzero(ref.any(axis=0)))
         assert got_nonzero == ref_nonzero
@@ -195,7 +222,7 @@ def write_tiny_config(path, seed=5):
         "rcs_mlp.hidden = 8\nrcs_mlp.out = 8\nenc.blocks = 1\nenc.channels = 8\n"
         "align.heads = 2\nalign.points = 2\ncam.channels = 8\ncam.modes = 3\n"
         "fuse.channels = 16\nfuse.blocks = 2\n"
-        f"pipeline.sweeps = 2\npipeline.seed = {seed}\n"
+        f"pipeline.seed = {seed}\n"
         "scene.n_clusters = 2\nscene.points_per_cluster = 3\n"
         "scene.azimuth_noise_deg = 0.4\nscene.n_sweeps = 2\n"
         "scene.cluster.0.bearing_deg = 30\nscene.cluster.0.range_m = 5\n"
@@ -323,24 +350,20 @@ class TestCli:
 
 
 class TestSelfcheckCli:
-    def test_env_thread_cap_parsed(self, monkeypatch):
-        monkeypatch.setenv("RCBEV_THREADS", "1")
-        report = run_selfcheck(max_workers=None)
-        assert report.passed
+    def test_perturbed_weight_fails_named_check(self, monkeypatch, capsys):
+        from rcbev import oracles
 
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("RCBEV_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            run_selfcheck()
-
-    def test_perturbed_weight_fails_named_check(self):
-        report = run_selfcheck(perturb="dmsa-oracle", max_workers=2)
+        dense_mha = oracles.dense_mha
+        monkeypatch.setattr(oracles, "dense_mha", lambda *args: dense_mha(*args) + 1e-3)
+        report = run_selfcheck()
         assert not report.passed
         failed = [r.name for r in report.results if not r.passed]
         assert failed == ["dmsa-oracle"]
+        assert cli_main(["selfcheck"]) == 1
+        assert "[FAIL] dmsa-oracle" in capsys.readouterr().out
 
     def test_report_lists_many_properties(self):
-        report = run_selfcheck(max_workers=2)
+        report = run_selfcheck()
         assert len(report.results) >= 12
         text = report.to_text()
         assert "tol=" in text and "measured=" in text
