@@ -7,8 +7,10 @@ nearby points. The streams exchange information every stage through gated
 cross-attention (inject) and cross-attention + feed-forward (extract), and are
 merged by a final linear layer.
 
-Every reduction over the point axis is order-independent (see nn.ordered_sum),
-so all ops here are exactly equivariant under point permutations.
+Both attentions gather their keys in one canonical order (nn.key_order) and
+reduce them in that order; queries keep their input order and every query row
+is computed on its own. So all ops here are exactly equivariant under point
+permutations: a permuted input reaches every reduction with bit-identical keys.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .nn import (
     as_f64,
     attend,
     contract,
+    key_order,
     layer_norm,
     linear,
     max_pool_points,
@@ -132,6 +135,11 @@ class BackboneArch:
     def __post_init__(self):
         if not self.widths:
             raise ConfigError("backbone needs at least one stage")
+        if self.in_channels <= 0 or self.dmsa_heads <= 0 or self.cross_heads <= 0:
+            raise ConfigError(
+                f"backbone dims must be positive, got in_channels {self.in_channels}, "
+                f"dmsa_heads {self.dmsa_heads}, cross_heads {self.cross_heads}"
+            )
         for w in self.widths:
             if w <= 0 or w % 2:
                 raise ConfigError(f"stage width {w} must be positive and even")
@@ -139,8 +147,6 @@ class BackboneArch:
                 raise ConfigError(f"width {w} not divisible by {self.dmsa_heads} heads")
             if w % self.cross_heads:
                 raise ConfigError(f"width {w} not divisible by {self.cross_heads} cross heads")
-        if self.in_channels <= 0 or self.dmsa_heads <= 0 or self.cross_heads <= 0:
-            raise ConfigError("backbone dims must be positive")
 
     @property
     def out_channels(self) -> int:
@@ -154,7 +160,6 @@ class BackboneResult:
     fused: np.ndarray
     inject_calls: int
     extract_calls: int
-    stage_outputs: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +205,8 @@ def dmsa_weights(q: np.ndarray, k: np.ndarray, d2: np.ndarray, beta: float) -> n
 def dmsa_head(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, d2: np.ndarray, beta: float
 ) -> np.ndarray:
-    """Softmax(QK^T / sqrt(d) - beta * D^2) V.
+    """Softmax(QK^T / sqrt(d) - beta * D^2) V, with keys reduced in the given
+    order (rows of k and v, columns of d2).
 
     The subtracted-logit form equals modulating with the Gaussian weight map
     exp(-D^2 * beta) in log space; beta = 0 reduces to vanilla attention.
@@ -214,17 +220,20 @@ def dmsa_head(
 
 
 def multi_head_dmsa(f: np.ndarray, coords: np.ndarray, p: MultiHeadDmsaParams) -> np.ndarray:
-    """Per-head projections and distance penalties, concatenated then projected."""
+    """Per-head projections and distance penalties, concatenated then projected.
+    Keys are taken in key_order(f, coords); queries keep the input order."""
     f = as_f64(f)
     c = f.shape[1]
     if p.wo.shape[1] != c:
         raise ConfigError(f"attention configured for C={p.wo.shape[1]}, input has C={c}")
-    d2 = pairwise_sq_dist(coords)
+    order = key_order(f, coords)
+    fk = f[order]
+    d2 = pairwise_sq_dist(coords)[:, order]
     outs = []
     for head in p.heads:
         q = contract(f, head.wq)
-        k = contract(f, head.wk)
-        v = contract(f, head.wv)
+        k = contract(fk, head.wk)
+        v = contract(fk, head.wv)
         outs.append(dmsa_head(q, k, v, d2, head.beta))
     return linear(np.concatenate(outs, axis=1), p.wo, p.bo)
 
@@ -237,12 +246,13 @@ def transformer_block(f: np.ndarray, coords: np.ndarray, p: TransformerBlockPara
 
 
 def cross_attention(q_in: np.ndarray, kv_in: np.ndarray, p: CrossAttnParams) -> np.ndarray:
-    """Dense multi-head cross-attention with layer-normed operands."""
+    """Dense multi-head cross-attention with layer-normed operands; keys are
+    taken in key_order(kv_in), queries keep the input order."""
     q_in, kv_in = as_f64(q_in), as_f64(kv_in)
     if q_in.shape != kv_in.shape:
         raise ShapeError(f"cross_attention operands differ: {q_in.shape} vs {kv_in.shape}")
     qn = layer_norm(q_in, p.lnq)
-    kn = layer_norm(kv_in, p.lnkv)
+    kn = layer_norm(kv_in[key_order(kv_in)], p.lnkv)
     outs = []
     for head in p.heads:
         q = contract(qn, head.wq)
@@ -276,7 +286,6 @@ def dual_backbone_forward(feats: PointFeatureSet, params: BackboneParams) -> Bac
     coords = as_f64(feats.coords)
     inject_calls = 0
     extract_calls = 0
-    stage_outputs = []
     for st in params.stages:
         f_p = point_block(f_p, st.point_mlp)
         if st.tf_in is not None:
@@ -286,9 +295,8 @@ def dual_backbone_forward(feats: PointFeatureSet, params: BackboneParams) -> Bac
         inject_calls += 1
         f_t = extract(f_t, f_p, st.extract)
         extract_calls += 1
-        stage_outputs.append((f_p, f_t))
     fused = linear(np.concatenate([f_p, f_t], axis=1), params.merge_w, params.merge_b)
-    return BackboneResult(f_p, f_t, fused, inject_calls, extract_calls, tuple(stage_outputs))
+    return BackboneResult(f_p, f_t, fused, inject_calls, extract_calls)
 
 
 # ---------------------------------------------------------------------------

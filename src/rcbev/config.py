@@ -73,6 +73,7 @@ class PipelineConfig:
             raise ConfigError(f"sizes must be positive, got {', '.join(bad)}")
         if self.radar_channels % self.deform_heads or self.cam_channels % self.deform_heads:
             raise ConfigError("deform_heads must divide both radar and camera channels")
+        self.backbone_arch()  # raises ConfigError for a bad backbone shape
 
     @property
     def point_channels(self) -> int:

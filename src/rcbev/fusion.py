@@ -79,34 +79,26 @@ def pixel_centers(h: int, w: int) -> np.ndarray:
     return np.stack([u.ravel(), v.ravel()], axis=1)
 
 
-def _sample_pool(
-    flat: np.ndarray, h: int, w: int, uv: np.ndarray, attn: np.ndarray, chunk: int = 2048
-) -> np.ndarray:
+def _sample_pool(flat: np.ndarray, h: int, w: int, uv: np.ndarray, attn: np.ndarray) -> np.ndarray:
     """sum_k attn[q, k] * bilinear(grid, uv[q, k]) with the attention weight
     folded into the four corner weights; flat is the grid in (H*W, C) layout.
     Out-of-grid corners contribute through zeroed weights on clipped indices."""
-    n, k, _ = uv.shape
-    out = np.empty((n, flat.shape[1]))
-    for s in range(0, n, chunk):
-        u, v = uv[s : s + chunk, :, 0], uv[s : s + chunk, :, 1]
-        a = attn[s : s + chunk]
-        x0 = np.floor(u).astype(np.int64)
-        y0 = np.floor(v).astype(np.int64)
-        fx, fy = u - x0, v - y0
-        acc = None
-        for xi, yi, wt in (
-            (x0, y0, (1 - fx) * (1 - fy)),
-            (x0 + 1, y0, fx * (1 - fy)),
-            (x0, y0 + 1, (1 - fx) * fy),
-            (x0 + 1, y0 + 1, fx * fy),
-        ):
-            ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            idx = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
-            factor = a * wt * ok
-            term = np.einsum("qk,qkc->qc", factor, flat[idx], optimize=False)
-            acc = term if acc is None else acc + term
-        out[s : s + chunk] = acc
-    return out
+    u, v = uv[:, :, 0], uv[:, :, 1]
+    x0 = np.floor(u).astype(np.int64)
+    y0 = np.floor(v).astype(np.int64)
+    fx, fy = u - x0, v - y0
+    acc = None
+    for xi, yi, wt in (
+        (x0, y0, (1 - fx) * (1 - fy)),
+        (x0 + 1, y0, fx * (1 - fy)),
+        (x0, y0 + 1, (1 - fx) * fy),
+        (x0 + 1, y0 + 1, fx * fy),
+    ):
+        ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+        idx = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
+        term = np.einsum("qk,qkc->qc", attn * wt * ok, flat[idx], optimize=False)
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def deform_attn_weights(queries: np.ndarray, p: DeformAttnParams) -> np.ndarray:
@@ -168,7 +160,7 @@ def deform_attn(
         refc = ref[s:e]
         for m in range(p.m):
             uv = refc[:, None, :] + offsets[:, m]
-            pooled = _sample_pool(flats[m], h, w, uv, attn[:, m], chunk=block)
+            pooled = _sample_pool(flats[m], h, w, uv, attn[:, m])
             out[s:e] += contract(pooled, p.w_out[m])
     return out.T.reshape(cv, h, w)
 

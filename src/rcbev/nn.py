@@ -1,10 +1,11 @@
 """Minimal numerical-layer toolkit: dense layers, norms, softmax, pooling
 and 3x3 convolution.
 
-All arithmetic is float64. Contractions deliberately avoid BLAS: channel
-contractions go through np.einsum(optimize=False) and reductions along
-point/key axes use an order-independent sorted pairwise sum (ordered_sum),
-so results are bit-identical under row permutations and thread counts.
+All arithmetic is float64. Contractions deliberately avoid BLAS: they go
+through np.einsum(optimize=False), and every reduction runs in the order its
+operands are given in, so results are bit-identical across runs and thread
+counts. Attention callers gather their keys in one canonical order
+(key_order) first, which makes them bit-identical under row permutations too.
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along ``axis`` independently of element order.
+def key_order(*cols: np.ndarray) -> np.ndarray:
+    """Row permutation that lexsorts the rows of the N x C_i arrays ``cols``,
+    side by side, by their float64 bit patterns.
 
-    Sorting first fixes a canonical value order, and the C-layout copy fixes
-    the pairwise-summation blocking, so any permutation of the input along
-    that axis yields a bit-identical sum.
+    Two rows tie only when they are bit-identical, so gathering rows in this
+    order gives bit-identical arrays for any permutation of the input rows.
     """
-    return np.sort(np.ascontiguousarray(a), axis=axis).sum(axis=axis)
+    rows = np.concatenate([as_f64(c) for c in cols], axis=1)
+    return np.lexsort(rows.view(np.int64).T)
 
 
 def contract(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -146,14 +148,14 @@ def batch_norm_2d(x: np.ndarray, p: NormParams) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax; denominator summed order-independently."""
+    """Max-subtracted softmax; the denominator sums along ``axis`` in the
+    given order."""
     x = as_f64(x)
     if not np.all(np.isfinite(x)):
         raise DataError("softmax input contains non-finite values")
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    denom = ordered_sum(e, axis=axis)
-    return e / np.expand_dims(denom, axis)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def max_pool_points(x: np.ndarray) -> np.ndarray:
@@ -166,22 +168,16 @@ def max_pool_points(x: np.ndarray) -> np.ndarray:
     return x.max(axis=0)
 
 
-def attend(weights: np.ndarray, values: np.ndarray, chunk: int = 16) -> np.ndarray:
-    """Order-independent attention contraction: out[i, c] = sum_j w[i, j] v[j, c].
+def attend(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Attention contraction out[i, c] = sum_j w[i, j] v[j, c].
 
-    The sum over keys j is computed with ordered_sum, so permuting the keys
-    (together with the weight columns) leaves the result bit-identical.
-    Channels are processed in chunks to bound the N x N x chunk buffer.
+    Keys j are reduced in the given order, one fixed-order einsum without
+    BLAS; callers that need permutation equivariance pass keys in key_order.
     """
     weights, values = as_f64(weights), as_f64(values)
     if weights.ndim != 2 or values.ndim != 2 or weights.shape[1] != values.shape[0]:
         raise ShapeError(f"attend: weights {weights.shape} vs values {values.shape}")
-    n, c = weights.shape[0], values.shape[1]
-    out = np.empty((n, c))
-    for c0 in range(0, c, chunk):
-        block = values[:, c0 : c0 + chunk]
-        out[:, c0 : c0 + chunk] = ordered_sum(weights[:, :, None] * block[None, :, :], axis=1)
-    return out
+    return np.einsum("ij,jc->ic", weights, values, optimize=False)
 
 
 def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:

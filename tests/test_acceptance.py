@@ -34,8 +34,8 @@ from rcbev.selfcheck import run_selfcheck, tiny_pipeline_config
 from rcbev.weights import init_weights, record_tensors
 
 GOLDEN_SCENE = Path(__file__).parent / "data" / "golden_scene.csv"
-GOLDEN_FUSED_CHECKSUM = "f82b8c989b0d5773e13057c6ccc6dcc21d75b3c9dca790680b351e82841fa44b"
-GOLDEN_RADAR_CHECKSUM = "3ee6b14a0ff92d17b28398de70caaeb00f86c82af7c18d642ee8ee2aacd2efd3"
+GOLDEN_FUSED_CHECKSUM = "4a5696ae7fa92174d419de8aeb55669c326f08ef45dd6229c439c4f75f9e214c"
+GOLDEN_RADAR_CHECKSUM = "1d2fd3ab3d27610cb244e44cb1c11e7208050e2bbf492a744c48ca831a4fb8b1"
 
 
 def report(n: int, name: str, ok: bool, detail: str = ""):

@@ -25,7 +25,7 @@ from rcbev.backbone import (
 )
 from rcbev.errors import ConfigError, EmptyInputError, ShapeError, WeightLookupError
 from rcbev.ingest import PointFeatureSet
-from rcbev.nn import MlpLayer, MlpParams, identity_norm, layer_norm, mlp
+from rcbev.nn import MlpLayer, MlpParams, contract, identity_norm, key_order, layer_norm, mlp
 from rcbev.weights import WeightSet, init_weights, record_tensors
 
 rng = np.random.default_rng(7)
@@ -57,6 +57,17 @@ def random_cross(c, heads=1):
         identity_norm(c), identity_norm(c), hp,
         rng.standard_normal((c, c)), rng.standard_normal(c),
     )
+
+
+def tied_rows(r, c):
+    """Rows with ties: exact duplicates, equal features at other coords,
+    equal coords with other features, and signed zeros."""
+    f = r.standard_normal((6, c))
+    coords = r.uniform(-5, 5, size=(6, 2))
+    f = np.concatenate([f, f[:3], f[3:5], r.standard_normal((2, c)), np.zeros((2, c))])
+    coords = np.concatenate([coords, coords[:3], r.uniform(-5, 5, size=(2, 2)), coords[:2], np.zeros((2, 2))])
+    f[-1, 0] = -0.0
+    return f, coords
 
 
 class TestPointBlock:
@@ -173,10 +184,11 @@ class TestMultiHeadDmsa:
         p = MultiHeadDmsaParams((head,), np.eye(c), np.zeros(c))
         f = rng.standard_normal((7, c))
         coords = rng.uniform(-4, 4, size=(7, 2))
-        d2 = pairwise_sq_dist(coords)
-        from rcbev.nn import contract
-
-        ref = dmsa_head(contract(f, head.wq), contract(f, head.wk), contract(f, head.wv), d2, 0.3)
+        # keys and distance columns in the canonical order multi_head_dmsa uses
+        order = key_order(f, coords)
+        d2 = pairwise_sq_dist(coords)[:, order]
+        fk = f[order]
+        ref = dmsa_head(contract(f, head.wq), contract(fk, head.wk), contract(fk, head.wv), d2, 0.3)
         assert np.array_equal(multi_head_dmsa(f, coords, p), ref)
 
     def test_beta_zero_matches_dense_oracle(self):
@@ -209,6 +221,16 @@ class TestMultiHeadDmsa:
         out = multi_head_dmsa(f, coords, p)
         for _ in range(5):
             perm = rng.permutation(n)
+            assert np.array_equal(multi_head_dmsa(f[perm], coords[perm], p), out[perm])
+
+    def test_permutation_equivariance_with_ties(self):
+        r = np.random.default_rng(11)
+        c, h = 8, 2
+        p = random_mha(c, h, [0.5, 2.0])
+        f, coords = tied_rows(r, c)
+        out = multi_head_dmsa(f, coords, p)
+        for _ in range(5):
+            perm = r.permutation(len(f))
             assert np.array_equal(multi_head_dmsa(f[perm], coords[perm], p), out[perm])
 
     def test_head_tiling_enforced(self):
@@ -280,6 +302,25 @@ class TestInjectExtract:
         delta = out - f_p
         # every query attends over identical keys/values: the added term is constant
         assert np.abs(delta - delta[0]).max() < 1e-12
+
+    def test_permutation_equivariance_with_ties(self):
+        r = np.random.default_rng(12)
+        c = 6
+        inj = InjectionParams(random_cross(c, heads=2), r.standard_normal(c))
+        ext = ExtractionParams(
+            random_cross(c, heads=2),
+            identity_norm(c),
+            MlpParams((MlpLayer(r.standard_normal((c, c)), r.standard_normal(c), True),
+                       MlpLayer(r.standard_normal((c, c)), r.standard_normal(c), False))),
+        )
+        f_p, _ = tied_rows(r, c)
+        f_t = np.concatenate([f_p[4:], f_p[:4]])
+        out_i = inject(f_p, f_t, inj)
+        out_e = extract(f_t, f_p, ext)
+        for _ in range(5):
+            perm = r.permutation(len(f_p))
+            assert np.array_equal(inject(f_p[perm], f_t[perm], inj), out_i[perm])
+            assert np.array_equal(extract(f_t[perm], f_p[perm], ext), out_e[perm])
 
     def test_inject_matches_dense_oracle(self):
         c = 5
@@ -360,7 +401,6 @@ class TestDualBackbone:
         res = dual_backbone_forward(make_feats(6), backbone_schema(w, arch))
         assert res.inject_calls == 3
         assert res.extract_calls == 3
-        assert len(res.stage_outputs) == 3
 
     def test_output_widths(self):
         w = init_weights(record_tensors(backbone_schema, ARCH), 1)
@@ -420,6 +460,11 @@ class TestDualBackbone:
         params = backbone_schema(init_weights(record_tensors(backbone_schema, ARCH), 0), ARCH)
         with pytest.raises(EmptyInputError):
             dual_backbone_forward(make_feats(0), params)
+
+    @pytest.mark.parametrize("bad", [{"dmsa_heads": 0}, {"cross_heads": 0}])
+    def test_non_positive_dims_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            BackboneArch(**bad)
 
     def test_missing_weights_lookup_error(self):
         with pytest.raises(WeightLookupError):

@@ -12,11 +12,11 @@ from rcbev.nn import (
     batch_norm_2d,
     conv3x3,
     identity_norm,
+    key_order,
     layer_norm,
     linear,
     max_pool_points,
     mlp,
-    ordered_sum,
     softmax,
 )
 
@@ -214,9 +214,19 @@ class TestBatchNorm:
             NormParams(np.ones(1), np.zeros(1), 1e-5, mean=np.zeros(1), var=np.array([-1.0]))
 
 
-def test_ordered_sum_is_permutation_independent():
-    x = rng.standard_normal((40, 40))
-    total = ordered_sum(x, axis=1)
+def test_key_order_gathers_bit_identical_rows():
+    # duplicates, a row equal in one block only, and +0.0 vs -0.0 (equal
+    # values, different bits): the gathered bytes must not depend on input order
+    a = rng.standard_normal((8, 3))
+    b = rng.standard_normal((8, 2))
+    a[5], b[5] = a[1], b[1]
+    a[6] = a[2]
+    a[7], b[7] = 0.0, b[3]
+    a[3] = 0.0
+    a[7, 0] = -0.0
+    order = key_order(a, b)
+    canon = (a[order].tobytes(), b[order].tobytes())
     for _ in range(10):
-        p = rng.permutation(40)
-        assert np.array_equal(ordered_sum(x[:, p], axis=1), total)
+        p = rng.permutation(8)
+        o = key_order(a[p], b[p])
+        assert (a[p][o].tobytes(), b[p][o].tobytes()) == canon

@@ -51,8 +51,11 @@ class TestConfigFile:
             {"deform_points": 0},
             {"cam_modes": -1},
             {"ffn_mult": 0},
+            {"dmsa_heads": 0},
+            {"cross_heads": 0},
             "fuse.blocks = -1",
             "enc.channels = -4",
+            "backbone.dmsa_heads = 0",
         ],
     )
     def test_negative_count_or_size_rejected(self, bad, tmp_path):
