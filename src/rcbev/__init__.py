@@ -39,7 +39,6 @@ from .fusion import cross_align, channel_spatial_fuse, deform_attn
 from .ingest import (
     PointCloud,
     PointFeatureSet,
-    RadarPoint,
     SceneConfig,
     assemble_features,
     filter_roi,

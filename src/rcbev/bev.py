@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, FormatError, ShapeError
+from .errors import ConfigError, ContractError, DataError, FormatError, ShapeError, require_finite
 from .ingest import PointFeatureSet
 from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3, mlp, relu
 from .weights import TensorSource, INIT_GLOROT, INIT_ONES, INIT_ZEROS, linear_schema
@@ -47,6 +47,9 @@ class BevSpec:
     w: int
 
     def __post_init__(self):
+        require_finite(
+            x_min=self.x_min, x_max=self.x_max, y_min=self.y_min, y_max=self.y_max, resolution=self.resolution
+        )
         if self.resolution <= 0:
             raise ConfigError(f"resolution must be positive, got {self.resolution}")
         if self.h <= 0 or self.w <= 0:
@@ -63,6 +66,9 @@ class BevSpec:
 
     @staticmethod
     def from_extent(x_min: float, x_max: float, y_min: float, y_max: float, resolution: float) -> "BevSpec":
+        require_finite(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max, resolution=resolution)
+        if resolution <= 0:
+            raise ConfigError(f"resolution must be positive, got {resolution}")
         w = round((x_max - x_min) / resolution)
         h = round((y_max - y_min) / resolution)
         return BevSpec(x_min, x_max, y_min, y_max, resolution, h, w)
@@ -98,6 +104,7 @@ class ScatterConfig:
     radius_cap: float = 5.0
 
     def __post_init__(self):
+        require_finite(radius_scale=self.radius_scale, radius_cap=self.radius_cap)
         if self.radius_scale < 0 or self.radius_cap < 0:
             raise ConfigError("scatter radius scale/cap must be >= 0")
 

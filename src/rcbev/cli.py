@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -30,26 +31,27 @@ from .pipeline import (
 from .selfcheck import run_selfcheck
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="override pipeline.seed")
-    parser.add_argument("--weights", type=str, default=None, help="weight manifest path")
-    parser.add_argument("--out", type=str, default=None, help="output path")
-    parser.add_argument(
-        "--dump-intermediates", action="store_true", help="write per-stage arrays next to --out"
-    )
+_FLAGS = {
+    "config": dict(type=str, default=None, help="flat key=value config file"),
+    "seed": dict(type=int, default=None, help="override pipeline.seed"),
+    "weights": dict(type=str, default=None, help="weight manifest path"),
+    "out": dict(type=str, default=None, help="output path"),
+    "dump-intermediates": dict(action="store_true", help="write per-stage arrays next to --out"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Give a subcommand the flags it reads, and no others."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _load_cfg(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    from dataclasses import replace
-
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.weights is not None:
+    if getattr(args, "weights", None) is not None:
         cfg = replace(cfg, weights_path=args.weights)
-    if getattr(args, "dump_intermediates", False):
-        cfg = replace(cfg, dump_intermediates=True)
     return cfg
 
 
@@ -64,7 +66,7 @@ def cmd_extract(args) -> int:
     out_path = _require_out(args)
     out, report = run_pipeline(cfg, radar_path=args.radar)
     save_grid(out.radar_bev, out_path)
-    if cfg.dump_intermediates:
+    if args.dump_intermediates:
         dump_intermediates(out, out_path)
     print(report.to_text())
     print(f"wrote radar BEV grid to {out_path}")
@@ -141,28 +143,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="radar point file -> radar BEV grid file")
     p.add_argument("radar", type=str, help="radar CSV (or count-prefixed .bin) file")
-    _add_common(p)
+    _add_flags(p, "config", "seed", "weights", "out", "dump-intermediates")
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("fuse", help="radar BEV grid + camera BEV grid -> fused grid")
     p.add_argument("radar_grid", type=str)
     p.add_argument("camera_grid", type=str)
-    _add_common(p)
+    _add_flags(p, "config", "seed", "weights", "out")
     p.set_defaults(fn=cmd_fuse)
 
     p = sub.add_parser("synth", help="scene config -> radar point file")
-    _add_common(p)
+    _add_flags(p, "config", "seed", "out")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("gen-cam", help="generate a deterministic camera BEV grid file")
-    _add_common(p)
+    _add_flags(p, "config", "seed", "out")
     p.set_defaults(fn=cmd_gen_cam)
 
     p = sub.add_parser("selfcheck", help="run the oracle/identity verification suite")
     p.set_defaults(fn=cmd_selfcheck)
 
     p = sub.add_parser("bench", help="deformable vs dense cross-attention scaling table")
-    _add_common(p)
+    _add_flags(p, "seed", "out")
     p.set_defaults(fn=cmd_bench)
 
     return parser

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .backbone import BackboneArch, BackboneParams, backbone_schema
 from .bev import BevSpec, CbrBlockParams, ScatterConfig, encoder_schema
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .fusion import AlignParams, FuseParams, fusion_schema
 from .ingest import ClusterSpec, SceneConfig
 from .nn import MlpParams
@@ -49,7 +49,6 @@ class PipelineConfig:
     seed: int = 0  # seeds weight init and synthetic inputs
     eps: float = 1e-5  # normalization epsilon
     weights_path: Optional[str] = None  # load manifest instead of seeded init
-    dump_intermediates: bool = False
     scene: SceneConfig = field(default_factory=SceneConfig)
 
     def __post_init__(self):
@@ -71,6 +70,12 @@ class PipelineConfig:
         bad = [f"{name} = {v}" for name, v in sizes.items() if v <= 0]
         if bad:
             raise ConfigError(f"sizes must be positive, got {', '.join(bad)}")
+        lo, hi = self.rcs_bounds
+        require_finite(eps=self.eps, rcs_lo=lo, rcs_hi=hi)
+        if self.eps <= 0:
+            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if lo >= hi:
+            raise ConfigError(f"rcs_bounds must satisfy lo < hi, got ({lo}, {hi})")
         if self.radar_channels % self.deform_heads or self.cam_channels % self.deform_heads:
             raise ConfigError("deform_heads must divide both radar and camera channels")
         self.backbone_arch()  # raises ConfigError for a bad backbone shape
@@ -153,15 +158,6 @@ def _as_int(key: str, v: str) -> int:
         return int(v)
     except ValueError:
         raise ConfigError(f"key '{key}': expected an integer, got {v!r}") from None
-
-
-def _as_bool(key: str, v: str) -> bool:
-    low = v.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"key '{key}': expected a boolean, got {v!r}")
 
 
 def _as_int_tuple(key: str, v: str) -> tuple[int, ...]:
@@ -249,7 +245,6 @@ def config_from_kv(kv: dict[str, str], base: Optional[PipelineConfig] = None) ->
         "pipeline.seed": ("seed", _as_int),
         "pipeline.eps": ("eps", _as_float),
         "pipeline.weights": ("weights_path", lambda _k, v: v),
-        "pipeline.dump_intermediates": ("dump_intermediates", _as_bool),
     }
     updates: dict = {}
     rcs_lo, rcs_hi = cfg.rcs_bounds

@@ -5,6 +5,8 @@ that do not line up, corrupted or non-finite payloads, malformed files,
 violated caller contracts, and degenerate empty inputs.
 """
 
+import math
+
 
 class RcbevError(Exception):
     """Base class for all package errors."""
@@ -36,6 +38,13 @@ class EmptyInputError(RcbevError, ValueError):
 
 class WeightLookupError(RcbevError, KeyError):
     """Requested tensor name is absent from the weight set."""
+
+
+def require_finite(**fields: float) -> None:
+    """Raise a ConfigError naming every field whose value is NaN or infinite."""
+    bad = [f"{name} = {v}" for name, v in fields.items() if not math.isfinite(v)]
+    if bad:
+        raise ConfigError(f"values must be finite, got {', '.join(bad)}")
 
 
 class PipelineError(RcbevError, RuntimeError):

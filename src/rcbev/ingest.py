@@ -1,8 +1,13 @@
 """Radar point-cloud ingestion: file formats, ROI filtering, per-point
 feature assembly and synthetic test scenes.
 
-Point order is canonical (sorted by sweep_offset, x, y, z) after load or
-synthesis, so every downstream summation is bit-deterministic.
+A cloud's points are the rows of one N x 7 float64 array. The PointCloud
+constructor is the one place that validates and orders them: rows are sorted
+by (sweep_offset, x, y, z, rcs, vx, vy), so only equal rows can tie, and a
+cloud is canonical by construction, whatever order its points arrived in.
+(Rows that differ only in the sign of a zero compare equal and keep their
+input order.) Every downstream summation is therefore bit-deterministic
+under point permutations.
 """
 
 from __future__ import annotations
@@ -12,54 +17,39 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, FormatError
+from .errors import ConfigError, ContractError, DataError, FormatError, ShapeError
 
-CSV_COLUMNS = ("x", "y", "z", "rcs", "vx", "vy", "sweep_offset")
+CSV_COLUMNS = ("x", "y", "z", "rcs", "vx", "vy", "sweep_offset")  # also the columns of PointCloud.rows
+SORT_PRIORITY = (6, 0, 1, 2, 3, 4, 5)  # sweep_offset, x, y, z, rcs, vx, vy
 DEFAULT_RCS_BOUNDS = (-20.0, 30.0)  # dBsm window covering typical automotive targets
-FEATURE_CHANNELS = 7  # x_norm, y_norm, z, rcs_norm, vx, vy, sweep_offset
 
 
-@dataclass(frozen=True)
-class RadarPoint:
-    """One radar return in the ego frame; Doppler is ego-motion compensated."""
-
-    x: float
-    y: float
-    z: float
-    rcs_dbsm: float
-    vx: float
-    vy: float
-    sweep_offset: float  # seconds relative to the key frame, <= 0
-
-    def __post_init__(self):
-        for name in ("x", "y", "z", "rcs_dbsm", "vx", "vy", "sweep_offset"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise DataError(f"radar point field '{name}' is non-finite")
-            object.__setattr__(self, name, v)
-        if self.sweep_offset > 0:
-            raise DataError(f"sweep_offset must be <= 0, got {self.sweep_offset}")
-
-    def sort_key(self):
-        return (self.sweep_offset, self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
 class PointCloud:
-    points: tuple[RadarPoint, ...]
-    frame_id: str = ""
-    compensated: bool = True
+    """Radar returns in the ego frame, one read-only row per point with the
+    columns CSV_COLUMNS: rcs in dBsm, Doppler ego-motion compensated and
+    sweep_offset in seconds relative to the key frame, <= 0."""
+
+    def __init__(self, rows, frame_id: str = "", compensated: bool = True):
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != len(CSV_COLUMNS):
+            raise ShapeError(f"point rows must be N x {len(CSV_COLUMNS)}, got shape {rows.shape}")
+        bad = np.argwhere(~np.isfinite(rows))
+        if len(bad):
+            raise DataError(f"radar point {bad[0][0]}: field '{CSV_COLUMNS[bad[0][1]]}' is non-finite")
+        late = rows[rows[:, 6] > 0, 6]
+        if len(late):
+            raise DataError(f"sweep_offset must be <= 0, got {late[0]}")
+        # np.lexsort is stable and sorts by its last key first
+        self.rows = rows[np.lexsort(rows[:, SORT_PRIORITY[::-1]].T)]
+        self.rows.flags.writeable = False
+        self.frame_id = frame_id
+        self.compensated = compensated
 
     def __len__(self) -> int:
-        return len(self.points)
-
-
-def canonical(points: Iterable[RadarPoint], frame_id: str = "", compensated: bool = True) -> PointCloud:
-    return PointCloud(tuple(sorted(points, key=RadarPoint.sort_key)), frame_id, compensated)
+        return self.rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -111,36 +101,28 @@ def load_point_cloud(path: str | Path) -> PointCloud:
     for col in header:
         if col not in CSV_COLUMNS:
             raise FormatError(f"{path}: unknown column '{col}'")
-    idx = {col: header.index(col) for col in CSV_COLUMNS}
-    points = []
+    idx = [header.index(col) for col in CSV_COLUMNS]
+    rows = []
     for ln_no, ln in enumerate(lines[1:], start=2):
         cells = [c.strip() for c in ln.split(",")]
         if len(cells) != len(header):
             raise FormatError(f"{path}:{ln_no}: expected {len(header)} cells, got {len(cells)}")
         try:
-            vals = {col: float(cells[idx[col]]) for col in CSV_COLUMNS}
+            row = [float(cells[i]) for i in idx]
         except ValueError as exc:
             raise FormatError(f"{path}:{ln_no}: {exc}") from exc
-        for col, v in vals.items():
+        for col, v in zip(CSV_COLUMNS, row):
             if not math.isfinite(v):
                 raise DataError(f"{path}:{ln_no}: non-finite value in column '{col}'")
-        points.append(
-            RadarPoint(
-                vals["x"], vals["y"], vals["z"], vals["rcs"],
-                vals["vx"], vals["vy"], vals["sweep_offset"],
-            )
-        )
-    return canonical(points, frame_id, compensated)
+        rows.append(row)
+    return PointCloud(np.reshape(rows, (-1, len(CSV_COLUMNS))), frame_id, compensated)
 
 
 def save_point_cloud(cloud: PointCloud, path: str | Path) -> None:
     path = Path(path)
     out = [f"# frame={cloud.frame_id or 'unknown'} compensated={str(cloud.compensated).lower()}"]
     out.append(",".join(CSV_COLUMNS))
-    for p in cloud.points:
-        out.append(
-            ",".join(repr(v) for v in (p.x, p.y, p.z, p.rcs_dbsm, p.vx, p.vy, p.sweep_offset))
-        )
+    out.extend(",".join(map(repr, row)) for row in cloud.rows.tolist())
     path.write_text("\n".join(out) + "\n")
 
 
@@ -153,40 +135,34 @@ def load_point_cloud_binary(path: str | Path) -> PointCloud:
     expected = 4 + 28 * count
     if len(raw) != expected:
         raise FormatError(f"{path}: {len(raw)} bytes, expected {expected} for {count} points")
-    rows = np.frombuffer(raw, dtype="<f4", offset=4).reshape(count, 7).astype(np.float64)
-    if not np.all(np.isfinite(rows)):
-        raise DataError(f"{path}: non-finite value in binary payload")
-    points = [RadarPoint(*row) for row in rows]
-    return canonical(points)
+    return PointCloud(np.frombuffer(raw, dtype="<f4", offset=4).reshape(count, 7))
 
 
 def save_point_cloud_binary(cloud: PointCloud, path: str | Path) -> None:
-    rows = np.array(
-        [[p.x, p.y, p.z, p.rcs_dbsm, p.vx, p.vy, p.sweep_offset] for p in cloud.points],
-        dtype="<f4",
-    ).reshape(len(cloud), 7)
-    Path(path).write_bytes(struct.pack("<I", len(cloud)) + rows.tobytes())
+    Path(path).write_bytes(struct.pack("<I", len(cloud)) + cloud.rows.astype("<f4").tobytes())
 
 
 # ---------------------------------------------------------------------------
 # filtering and featurization
 # ---------------------------------------------------------------------------
 
+def _in_roi(rows: np.ndarray, spec) -> np.ndarray:
+    x, y = rows[:, 0], rows[:, 1]
+    return (spec.x_min <= x) & (x < spec.x_max) & (spec.y_min <= y) & (y < spec.y_max)
+
+
 def filter_roi(cloud: PointCloud, spec) -> PointCloud:
     """Keep points with x in [x_min, x_max) and y in [y_min, y_max)."""
-    kept = [
-        p
-        for p in cloud.points
-        if spec.x_min <= p.x < spec.x_max and spec.y_min <= p.y < spec.y_max
-    ]
-    return PointCloud(tuple(kept), cloud.frame_id, cloud.compensated)
+    return PointCloud(cloud.rows[_in_roi(cloud.rows, spec)], cloud.frame_id, cloud.compensated)
 
 
-def normalize_rcs(rcs_dbsm: float, bounds: tuple[float, float] = DEFAULT_RCS_BOUNDS) -> float:
+def normalize_rcs(rcs_dbsm, bounds: tuple[float, float] = DEFAULT_RCS_BOUNDS):
+    """RCS in dBsm mapped linearly from ``bounds`` onto [0, 1] and clamped;
+    elementwise over an array."""
     lo, hi = bounds
-    if lo >= hi:
+    if not lo < hi:
         raise ConfigError(f"rcs bounds must satisfy lo < hi, got ({lo}, {hi})")
-    return min(1.0, max(0.0, (rcs_dbsm - lo) / (hi - lo)))
+    return np.minimum(1.0, np.maximum(0.0, (rcs_dbsm - lo) / (hi - lo)))
 
 
 def assemble_features(
@@ -194,28 +170,17 @@ def assemble_features(
 ) -> PointFeatureSet:
     """Build the 7-channel feature rows
     [x_norm, y_norm, z, rcs_norm, vx, vy, sweep_offset] for an ROI-filtered cloud."""
-    n = len(cloud)
-    feats = np.zeros((n, FEATURE_CHANNELS))
-    coords = np.zeros((n, 2))
-    rcs = np.zeros(n)
-    x_span = spec.x_max - spec.x_min
-    y_span = spec.y_max - spec.y_min
-    for i, p in enumerate(cloud.points):
-        if not (spec.x_min <= p.x < spec.x_max and spec.y_min <= p.y < spec.y_max):
-            raise ContractError(f"point ({p.x}, {p.y}) lies outside the ROI")
-        r = normalize_rcs(p.rcs_dbsm, bounds)
-        feats[i] = (
-            (p.x - spec.x_min) / x_span,
-            (p.y - spec.y_min) / y_span,
-            p.z,
-            r,
-            p.vx,
-            p.vy,
-            p.sweep_offset,
-        )
-        coords[i] = (p.x, p.y)
-        rcs[i] = r
-    return PointFeatureSet(feats, coords, rcs)
+    rows = cloud.rows
+    outside = np.flatnonzero(~_in_roi(rows, spec))
+    if len(outside):
+        x, y = rows[outside[0], :2]
+        raise ContractError(f"point ({x}, {y}) lies outside the ROI")
+    rcs = normalize_rcs(rows[:, 3], bounds)
+    feats = rows.copy()
+    feats[:, 0] = (rows[:, 0] - spec.x_min) / (spec.x_max - spec.x_min)
+    feats[:, 1] = (rows[:, 1] - spec.y_min) / (spec.y_max - spec.y_min)
+    feats[:, 3] = rcs
+    return PointFeatureSet(feats, rows[:, :2].copy(), rcs)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +232,7 @@ def synth_scene(config: SceneConfig, seed: int) -> PointCloud:
                     heading_deg=float(rng.uniform(0.0, 360.0)),
                 )
             )
-    points: list[RadarPoint] = []
+    rows = []
     sigma = math.radians(config.azimuth_noise_deg)
     for cl in clusters:
         theta = math.radians(cl.bearing_deg)
@@ -284,5 +249,5 @@ def synth_scene(config: SceneConfig, seed: int) -> PointCloud:
                     az = float(rng.normal(0.0, sigma))
                     c, s = math.cos(az), math.sin(az)
                     x, y = c * x - s * y, s * x + c * y
-                points.append(RadarPoint(x, y, config.z_m, cl.rcs_dbsm, vx, vy, t))
-    return canonical(points, config.frame_id)
+                rows.append((x, y, config.z_m, cl.rcs_dbsm, vx, vy, t))
+    return PointCloud(np.reshape(rows, (-1, len(CSV_COLUMNS))), config.frame_id)

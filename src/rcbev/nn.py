@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyInputError, ShapeError
+from .errors import ConfigError, DataError, EmptyInputError, ShapeError, require_finite
 
 DEFAULT_EPS = 1e-5
 
@@ -103,6 +103,7 @@ class NormParams:
     var: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        require_finite(eps=self.eps)
         if self.eps <= 0:
             raise ConfigError(f"norm epsilon must be positive, got {self.eps}")
         if self.var is not None and np.any(as_f64(self.var) < 0):

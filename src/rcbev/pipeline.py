@@ -70,12 +70,6 @@ class RunReport:
     stages: list[StageReport] = field(default_factory=list)
     grids: list[GridStats] = field(default_factory=list)
 
-    def stage(self, name: str) -> StageReport:
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
     def to_text(self) -> str:
         lines = ["stage            ms        checksum"]
         for s in self.stages:
@@ -239,7 +233,6 @@ def run_pipeline(
     cloud: Optional[PointCloud] = None,
     camera: Optional[BevGrid] = None,
     radar_path: Optional[str] = None,
-    camera_path: Optional[str] = None,
 ) -> tuple[FusionOutput, RunReport]:
     report = RunReport()
     runner = _StageRunner(report)
@@ -263,10 +256,6 @@ def run_pipeline(
     def get_camera() -> BevGrid:
         if camera is not None:
             return camera
-        if camera_path:
-            from .bev import load_grid
-
-            return load_grid(camera_path)
         return gen_camera_bev(cfg.bev, cfg.cam_channels, cfg.seed, cfg.cam_modes)
 
     cam = runner.run("camera", get_camera)

@@ -46,6 +46,17 @@ class TestBevSpec:
         with pytest.raises(ConfigError):
             BevSpec.from_extent(0, 10, 0, 10, -1.0)
 
+    @pytest.mark.parametrize("field", range(5))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, bad):
+        names = ("x_min", "x_max", "y_min", "y_max", "resolution")
+        args = [-8.0, 8.0, -8.0, 8.0, 1.0]
+        args[field] = bad
+        with pytest.raises(ConfigError, match=names[field]):
+            BevSpec.from_extent(*args)
+        with pytest.raises(ConfigError, match=names[field]):
+            BevSpec(*args, h=16, w=16)
+
 
 class TestToPixel:
     def test_origin_corner(self):
@@ -80,6 +91,12 @@ class TestScatterRadius:
     def test_negative_cap_rejected(self):
         with pytest.raises(ConfigError):
             ScatterConfig(radius_scale=-0.1)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ConfigError, match="radius_scale"):
+            ScatterConfig(radius_scale=float("nan"))
+        with pytest.raises(ConfigError, match="radius_cap"):
+            ScatterConfig(radius_cap=float("inf"))
 
 
 def oracle_scatter(feats, spec, cfg):

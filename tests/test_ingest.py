@@ -1,17 +1,18 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from rcbev.bev import BevSpec
-from rcbev.errors import ConfigError, ContractError, DataError, FormatError
+from rcbev.config import PipelineConfig
+from rcbev.errors import ConfigError, ContractError, DataError, FormatError, ShapeError
 from rcbev.ingest import (
     ClusterSpec,
     PointCloud,
-    RadarPoint,
     SceneConfig,
     assemble_features,
-    canonical,
     filter_roi,
     load_point_cloud,
     load_point_cloud_binary,
@@ -23,21 +24,46 @@ from rcbev.ingest import (
 
 SPEC = BevSpec.from_extent(-10.0, 10.0, -10.0, 10.0, 1.0)
 
+# sha256 of the save_point_cloud and save_point_cloud_binary output for
+# synth_scene(PipelineConfig().scene, 0), computed on the code that held each
+# point as an object, so the array representation is byte-compatible with it
+RADAR_FILE_SHA256 = {
+    "csv": "d879dd59d95df108e34a3b01e4a243f527c9391bff2441345241eb446c541505",
+    "bin": "582a892d70fcc2a9e446a4bd00c30a98a11d0f8917c6133fe7cff6a2a83fe7e9",
+}
+
+
+def tied_rows(rng, n=24):
+    """Rows on a coarse grid of values exact in float32, so many rows tie on
+    (sweep_offset, x, y, z) and differ only in rcs or velocity, and three
+    are duplicates."""
+    rows = np.column_stack([
+        rng.integers(-2, 3, n) * 0.5,
+        rng.integers(-1, 2, n) * 0.5,
+        np.zeros(n),
+        rng.integers(0, 4, n) * 2.5,
+        rng.integers(-1, 2, n) * 0.25,
+        rng.integers(-1, 2, n) * 0.25,
+        -rng.integers(0, 2, n) * 0.125,
+    ])
+    rows[1] = rows[2] = rows[0]
+    return rows
+
 
 def pt(x, y, **kw):
     args = dict(z=0.0, rcs_dbsm=5.0, vx=0.0, vy=0.0, sweep_offset=0.0)
     args.update(kw)
-    return RadarPoint(x, y, **args)
+    return (x, y, args["z"], args["rcs_dbsm"], args["vx"], args["vy"], args["sweep_offset"])
 
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
-        cloud = canonical([pt(1.25, -3.5), pt(0.1, 0.2, sweep_offset=-0.083)], "f1")
+        cloud = PointCloud([pt(1.25, -3.5), pt(0.1, 0.2, sweep_offset=-0.083)], "f1")
         path = tmp_path / "r.csv"
         save_point_cloud(cloud, path)
         back = load_point_cloud(path)
         assert back.frame_id == "f1"
-        assert back.points == cloud.points
+        assert np.array_equal(back.rows, cloud.rows)
 
     def test_empty_data_section(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -53,7 +79,7 @@ class TestCsv:
             "3,0,0,1,0,0,-0.1\n"
         )
         cloud = load_point_cloud(path)
-        assert [p.x for p in cloud.points] == [3.0, 1.0, 5.0]  # sweep first, then x
+        assert cloud.rows[:, 0].tolist() == [3.0, 1.0, 5.0]  # sweep first, then x
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -70,12 +96,12 @@ class TestCsv:
 
 class TestBinary:
     def test_roundtrip(self, tmp_path):
-        cloud = canonical([pt(1.5, 2.5, rcs_dbsm=3.0), pt(-4.0, 0.25, sweep_offset=-0.25)])
+        cloud = PointCloud([pt(1.5, 2.5, rcs_dbsm=3.0), pt(-4.0, 0.25, sweep_offset=-0.25)])
         path = tmp_path / "r.bin"
         save_point_cloud_binary(cloud, path)
         back = load_point_cloud_binary(path)
         assert len(back) == 2
-        assert back.points[0].x == pytest.approx(-4.0)
+        assert back.rows[0, 0] == pytest.approx(-4.0)
         assert path.stat().st_size == 4 + 28 * 2
 
     def test_truncated_rejected(self, tmp_path):
@@ -88,24 +114,85 @@ class TestBinary:
 class TestPoints:
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
-            pt(float("inf"), 0.0)
+            PointCloud([pt(0.0, 0.0), pt(float("inf"), 0.0)])
+        with pytest.raises(DataError, match="vy"):
+            PointCloud([pt(0.0, 0.0, vy=float("nan"))])
 
     def test_positive_sweep_offset_rejected(self):
         with pytest.raises(DataError):
-            pt(0.0, 0.0, sweep_offset=0.5)
+            PointCloud([pt(0.0, 0.0, sweep_offset=0.5)])
+
+    @pytest.mark.parametrize("shape", [(3, 6), (3, 8), (7,), (0,), (1, 3, 7)])
+    def test_not_n_by_7_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            PointCloud(np.zeros(shape))
+
+    def test_empty_cloud(self):
+        cloud = PointCloud(np.zeros((0, 7)), "empty")
+        assert len(cloud) == 0 and cloud.rows.shape == (0, 7)
+        assert cloud.frame_id == "empty" and cloud.compensated
+
+    def test_rows_read_only(self):
+        src = np.array([pt(1.0, 2.0), pt(0.0, 3.0)])
+        cloud = PointCloud(src)
+        with pytest.raises(ValueError):
+            cloud.rows[0, 0] = 9.0
+        src[0, 0] = 9.0  # the cloud holds its own copy
+        assert cloud.rows[:, 0].tolist() == [0.0, 1.0]
+
+    def test_ties_on_position_broken_by_remaining_columns(self):
+        rows = [pt(1.0, 1.0, rcs_dbsm=r, vx=vx, vy=vy) for r, vx, vy in [(5, 0, 1), (5, 0, 0), (3, 2, 0), (5, -1, 0)]]
+        cloud = PointCloud(rows)
+        assert cloud.rows[:, 3:6].tolist() == [[3, 2, 0], [5, -1, 0], [5, 0, 0], [5, 0, 1]]
+
+    def test_every_permutation_gives_the_same_rows(self):
+        rng = np.random.default_rng(4)
+        rows = tied_rows(rng)
+        ref = PointCloud(rows).rows
+        for _ in range(20):
+            assert PointCloud(rows[rng.permutation(len(rows))]).rows.tobytes() == ref.tobytes()
+
+    def test_rows_differing_in_signed_zero_tie(self):
+        # they compare equal, so their order is the input order
+        a, b = pt(0.0, 1.0, vy=0.0), pt(0.0, 1.0, vy=-0.0)
+        assert np.signbit(PointCloud([a, b]).rows[:, 5]).tolist() == [False, True]
+        assert np.signbit(PointCloud([b, a]).rows[:, 5]).tolist() == [True, False]
+
+
+class TestPermutedFiles:
+    def test_permuted_csv_and_binary_load_identical_rows(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rows = tied_rows(rng)
+        loaded = []
+        for k in range(4):
+            perm = rows[rng.permutation(len(rows))]
+            csv, binary = tmp_path / f"p{k}.csv", tmp_path / f"p{k}.bin"
+            lines = ["x,y,z,rcs,vx,vy,sweep_offset"] + [",".join(map(repr, r)) for r in perm.tolist()]
+            csv.write_text("\n".join(lines) + "\n")
+            binary.write_bytes(struct.pack("<I", len(perm)) + perm.astype("<f4").tobytes())
+            loaded += [load_point_cloud(csv).rows, load_point_cloud_binary(binary).rows]
+        for got in loaded:
+            assert got.tobytes() == loaded[0].tobytes()
+
+    def test_radar_file_bytes_pinned(self, tmp_path):
+        cloud = synth_scene(PipelineConfig().scene, 0)
+        for ext, save in (("csv", save_point_cloud), ("bin", save_point_cloud_binary)):
+            path = tmp_path / f"scene.{ext}"
+            save(cloud, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == RADAR_FILE_SHA256[ext]
 
 
 class TestFilterRoi:
     def test_half_open_boundaries(self):
-        lo = filter_roi(PointCloud((pt(-10.0, 0.0),)), SPEC)
-        hi = filter_roi(PointCloud((pt(10.0, 0.0),)), SPEC)
+        lo = filter_roi(PointCloud([pt(-10.0, 0.0)]), SPEC)
+        hi = filter_roi(PointCloud([pt(10.0, 0.0)]), SPEC)
         assert len(lo) == 1 and len(hi) == 0
 
     def test_inside_identity_and_idempotent(self):
-        cloud = canonical([pt(0, 0), pt(5, -5), pt(-9.99, 9.99)])
+        cloud = PointCloud([pt(0, 0), pt(5, -5), pt(-9.99, 9.99)])
         once = filter_roi(cloud, SPEC)
-        assert once.points == cloud.points
-        assert filter_roi(once, SPEC).points == once.points
+        assert np.array_equal(once.rows, cloud.rows)
+        assert np.array_equal(filter_roi(once, SPEC).rows, once.rows)
 
 
 class TestNormalizeRcs:
@@ -129,25 +216,38 @@ class TestNormalizeRcs:
 
 class TestAssembleFeatures:
     def test_corner_normalizes_to_zero(self):
-        cloud = PointCloud((pt(-10.0, -10.0),))
+        cloud = PointCloud([pt(-10.0, -10.0)])
         feats = assemble_features(cloud, SPEC)
         assert feats.features[0, 0] == 0.0 and feats.features[0, 1] == 0.0
 
     def test_shape(self):
-        cloud = canonical([pt(float(i), 0.0) for i in range(-5, 5)])
+        cloud = PointCloud([pt(float(i), 0.0) for i in range(-5, 5)])
         feats = assemble_features(cloud, SPEC)
         assert feats.features.shape == (10, 7)
         assert feats.coords.shape == (10, 2)
         assert feats.rcs_norm.shape == (10,)
 
     def test_known_point(self):
-        cloud = PointCloud((pt(0.0, 5.0, z=1.5, rcs_dbsm=5.0, vx=2.0, vy=-1.0, sweep_offset=-0.2),))
+        cloud = PointCloud([pt(0.0, 5.0, z=1.5, rcs_dbsm=5.0, vx=2.0, vy=-1.0, sweep_offset=-0.2)])
         row = assemble_features(cloud, SPEC).features[0]
         assert row == pytest.approx([0.5, 0.75, 1.5, 0.5, 2.0, -1.0, -0.2])
 
     def test_outside_roi_rejected(self):
         with pytest.raises(ContractError):
-            assemble_features(PointCloud((pt(11.0, 0.0),)), SPEC)
+            assemble_features(PointCloud([pt(11.0, 0.0)]), SPEC)
+
+    def test_matches_per_point_formula(self):
+        scene = SceneConfig(n_clusters=6, points_per_cluster=5, n_sweeps=3, max_range_m=12.0)
+        cloud = filter_roi(synth_scene(scene, 2), SPEC)
+        lo, hi = 0.0, 20.0
+        feats = assemble_features(cloud, SPEC, (lo, hi))
+        assert len(cloud) > 0 and {0.0, 1.0} <= set(feats.rcs_norm.tolist())  # both clamps hit
+        for i, (x, y, z, rcs, vx, vy, t) in enumerate(cloud.rows.tolist()):
+            r = min(1.0, max(0.0, (rcs - lo) / (hi - lo)))
+            x_norm = (x - SPEC.x_min) / (SPEC.x_max - SPEC.x_min)
+            y_norm = (y - SPEC.y_min) / (SPEC.y_max - SPEC.y_min)
+            assert feats.features[i].tolist() == [x_norm, y_norm, z, r, vx, vy, t]
+            assert feats.coords[i].tolist() == [x, y] and feats.rcs_norm[i] == r
 
 
 class TestSynthScene:
@@ -155,7 +255,7 @@ class TestSynthScene:
         cfg = SceneConfig(n_clusters=3, points_per_cluster=4, n_sweeps=2)
         a = synth_scene(cfg, 9)
         b = synth_scene(cfg, 9)
-        assert a.points == b.points
+        assert np.array_equal(a.rows, b.rows)
 
     def test_zero_noise_on_bearing(self):
         cfg = SceneConfig(
@@ -164,8 +264,8 @@ class TestSynthScene:
             clusters=(ClusterSpec(bearing_deg=30.0, range_m=10.0, n_points=5, rcs_dbsm=8.0),),
         )
         cloud = synth_scene(cfg, 1)
-        for p in cloud.points:
-            assert math.degrees(math.atan2(p.y, p.x)) == pytest.approx(30.0, abs=1e-9)
+        for x, y in cloud.rows[:, :2]:
+            assert math.degrees(math.atan2(y, x)) == pytest.approx(30.0, abs=1e-9)
 
     def test_zero_clusters_empty(self):
         assert len(synth_scene(SceneConfig(n_clusters=0), 0)) == 0
@@ -193,8 +293,7 @@ class TestIngestEdges:
             "0,-1,2,5,1.5,5,0\n"
         )
         cloud = load_point_cloud(path)
-        p = cloud.points[0]
-        assert (p.x, p.y, p.z, p.rcs_dbsm, p.vx, p.vy, p.sweep_offset) == (0, 5, 1.5, 5, 2, -1, 0)
+        assert tuple(cloud.rows[0]) == (0, 5, 1.5, 5, 2, -1, 0)
 
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -114,6 +114,8 @@ class TestLayerNorm:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ConfigError):
             NormParams(np.ones(2), np.zeros(2), eps=0.0)
+        with pytest.raises(ConfigError, match="eps"):
+            NormParams(np.ones(2), np.zeros(2), eps=float("nan"))
 
 
 class TestSoftmax:

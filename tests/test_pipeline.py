@@ -11,7 +11,7 @@ from rcbev.config import (
     parse_kv_text,
 )
 from rcbev.errors import ConfigError, PipelineError
-from rcbev.ingest import PointCloud, SceneConfig, load_point_cloud
+from rcbev.ingest import PointCloud, SceneConfig, load_point_cloud, synth_scene
 from rcbev.pipeline import checksum, gen_camera_bev, run_pipeline
 from rcbev.selfcheck import run_selfcheck, tiny_pipeline_config
 from rcbev.weights import init_weights, save_weights
@@ -56,6 +56,20 @@ class TestConfigFile:
             "fuse.blocks = -1",
             "enc.channels = -4",
             "backbone.dmsa_heads = 0",
+            {"eps": float("nan")},
+            {"eps": 0.0},
+            {"rcs_bounds": (float("nan"), 30.0)},
+            {"rcs_bounds": (30.0, -20.0)},
+            "bev.resolution = nan",
+            "bev.x_min = nan",
+            "bev.y_max = inf",
+            "bev.resolution = 0",
+            "rcs.lo = nan",
+            "rcs.hi = inf",
+            "rcs.lo = 30\nrcs.hi = -20",
+            "scatter.radius_scale = nan",
+            "scatter.radius_cap = inf",
+            "pipeline.eps = nan",
         ],
     )
     def test_negative_count_or_size_rejected(self, bad, tmp_path):
@@ -145,7 +159,7 @@ class TestRunPipeline:
 
     def test_empty_cloud_runs_to_completion(self):
         cfg = small_cfg()
-        empty = PointCloud((), "empty")
+        empty = PointCloud(np.zeros((0, 7)), "empty")
         out, report = run_pipeline(cfg, cloud=empty)
         assert not out.f_rcs.data.any()
         assert not out.radar_bev.data.any()  # zero-init biases and identity bn stats
@@ -209,6 +223,22 @@ class TestRunPipeline:
         out_loaded, _ = run_pipeline(replace(cfg, weights_path=str(path)))
         assert checksum(out_seeded.fused.data) == checksum(out_loaded.fused.data)
 
+    def test_fused_grid_invariant_under_row_permutations(self):
+        cfg = small_cfg()
+        rows = synth_scene(cfg.scene, cfg.seed).rows
+        # rows tied with the first four on (sweep_offset, x, y, z) that differ
+        # in rcs or vx, and one duplicate row
+        tied = rows[:4].copy()
+        tied[:, 3] += [3.0, -4.0, 0.0, 1.5]
+        tied[2, 4] += 0.5
+        rows = np.vstack([rows, tied, rows[5:6]])
+        rng = np.random.default_rng(11)
+        ref, _ = run_pipeline(cfg, cloud=PointCloud(rows))
+        for _ in range(20):
+            out, _ = run_pipeline(cfg, cloud=PointCloud(rows[rng.permutation(len(rows))]))
+            assert np.array_equal(out.fused.data, ref.fused.data)
+            assert np.array_equal(out.radar_bev.data, ref.radar_bev.data)
+
     def test_report_has_all_stages(self):
         _, report = run_pipeline(small_cfg())
         names = [s.name for s in report.stages]
@@ -240,7 +270,7 @@ class TestCli:
         write_tiny_config(cfg_path)
         radar = tmp_path / "scene.csv"
         assert cli_main(["synth", "--config", str(cfg_path), "--out", str(radar)]) == 0
-        assert load_point_cloud(radar).points
+        assert len(load_point_cloud(radar))
 
         radar_grid = tmp_path / "radar.bevgrid"
         assert cli_main(["extract", str(radar), "--config", str(cfg_path), "--out", str(radar_grid)]) == 0
@@ -341,6 +371,36 @@ class TestCli:
         assert (tmp_path / "r.bevgrid.f_rcs.bevgrid").exists()
         assert (tmp_path / "r.bevgrid.backbone_fused.npy").exists()
         capsys.readouterr()
+
+    def test_nan_config_exits_with_error_not_traceback(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("bev.resolution = nan\n")
+        rc = cli_main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "resolution" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("fuse", "--dump-intermediates"),
+            ("synth", "--dump-intermediates"),
+            ("gen-cam", "--dump-intermediates"),
+            ("bench", "--dump-intermediates"),
+            ("synth", "--weights"),
+            ("gen-cam", "--weights"),
+            ("bench", "--weights"),
+            ("bench", "--config"),
+        ],
+    )
+    def test_flag_a_subcommand_does_not_read_is_a_usage_error(self, command, flag, capsys):
+        positional = ["r.bevgrid", "c.bevgrid"] if command == "fuse" else []
+        value = [] if flag == "--dump-intermediates" else ["x"]
+        with pytest.raises(SystemExit) as exit_:
+            cli_main([command, *positional, flag, *value, "--out", "o"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rcbev") and f"unrecognized arguments: {flag}" in err
 
     def test_seed_flag_changes_output(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
