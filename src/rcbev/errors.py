@@ -7,6 +7,8 @@ violated caller contracts, and degenerate empty inputs.
 
 import math
 
+import numpy as np
+
 
 class RcbevError(Exception):
     """Base class for all package errors."""
@@ -45,6 +47,14 @@ def require_finite(**fields: float) -> None:
     bad = [f"{name} = {v}" for name, v in fields.items() if not math.isfinite(v)]
     if bad:
         raise ConfigError(f"values must be finite, got {', '.join(bad)}")
+
+
+def require_inside(xy, lo, hi, message: str) -> None:
+    """Raise a ContractError, ``message`` formatted with the first row of ``xy`` outside [lo, hi)."""
+    rows = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    outside = np.flatnonzero(~np.all((lo <= rows) & (rows < hi), axis=1))
+    if len(outside):
+        raise ContractError(message.format(*rows[outside[0]]))
 
 
 class PipelineError(RcbevError, RuntimeError):

@@ -149,18 +149,16 @@ def deform_attn(
         ).reshape(n, -1)
         for m in range(p.m)
     ]
+    attn = deform_attn_weights(queries, p)
     out = np.zeros((n, cv))
     block = 2048
     for s in range(0, n, block):
         e = min(s + block, n)
-        zc = z[s:e]
-        offsets = (contract(zc, p.w_off) + p.b_off).reshape(e - s, p.m, p.k, 2)
-        logits = (contract(zc, p.w_att) + p.b_att).reshape(e - s, p.m, p.k)
-        attn = softmax(logits, axis=2)
+        offsets = (contract(z[s:e], p.w_off) + p.b_off).reshape(e - s, p.m, p.k, 2)
         refc = ref[s:e]
         for m in range(p.m):
             uv = refc[:, None, :] + offsets[:, m]
-            pooled = _sample_pool(flats[m], h, w, uv, attn[:, m])
+            pooled = _sample_pool(flats[m], h, w, uv, attn[s:e, m])
             out[s:e] += contract(pooled, p.w_out[m])
     return out.T.reshape(cv, h, w)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, FormatError, ShapeError
+from .errors import ConfigError, DataError, FormatError, ShapeError, require_inside
 
 CSV_COLUMNS = ("x", "y", "z", "rcs", "vx", "vy", "sweep_offset")  # also the columns of PointCloud.rows
 SORT_PRIORITY = (6, 0, 1, 2, 3, 4, 5)  # sweep_offset, x, y, z, rcs, vx, vy
@@ -171,10 +171,7 @@ def assemble_features(
     """Build the 7-channel feature rows
     [x_norm, y_norm, z, rcs_norm, vx, vy, sweep_offset] for an ROI-filtered cloud."""
     rows = cloud.rows
-    outside = np.flatnonzero(~_in_roi(rows, spec))
-    if len(outside):
-        x, y = rows[outside[0], :2]
-        raise ContractError(f"point ({x}, {y}) lies outside the ROI")
+    require_inside(rows[:, :2], (spec.x_min, spec.y_min), (spec.x_max, spec.y_max), "point ({}, {}) outside the ROI")
     rcs = normalize_rcs(rows[:, 3], bounds)
     feats = rows.copy()
     feats[:, 0] = (rows[:, 0] - spec.x_min) / (spec.x_max - spec.x_min)

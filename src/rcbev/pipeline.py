@@ -195,11 +195,8 @@ def radar_branch(
     def scatter():
         f_rcs = rcs_scatter(point_feats, cfg.bev, cfg.scatter)
         base = rcs_scatter(point_feats, cfg.bev, ScatterConfig(0.0, 0.0))
-        if len(point_feats):
-            px = np.array([to_pixel(c, cfg.bev)[0] for c in point_feats.coords])
-        else:
-            px = np.zeros((0, 2))
-        g_rcs = gaussian_bev_map(px, point_feats.rcs_norm, cfg.bev, cfg.scatter)
+        uv, _ = to_pixel(point_feats.coords, cfg.bev)
+        g_rcs = gaussian_bev_map(uv, point_feats.rcs_norm, cfg.bev, cfg.scatter)
         return f_rcs, base, g_rcs
 
     f_rcs, base, g_rcs = runner.run("scatter", scatter, out_array=lambda t: t[0].data)

@@ -309,12 +309,9 @@ def check_scatter_oracle() -> tuple[float, str]:
     for _ in range(5):
         feats = _random_feature_set(rng, spec, 40)
         grid = rcs_scatter(feats, spec, cfg)
-        pixels = np.zeros((len(feats), 2), dtype=int)
-        radii = np.zeros(len(feats))
-        for i in range(len(feats)):
-            (u, v), (px, py) = to_pixel(feats.coords[i], spec)
-            pixels[i] = (px, py)
-            radii[i] = min(cfg.radius_scale * (u * u + v * v) * feats.rcs_norm[i], cfg.radius_cap)
+        uv, pixels = to_pixel(feats.coords, spec)
+        u, v = uv.T
+        radii = np.minimum(cfg.radius_scale * (u * u + v * v) * feats.rcs_norm, cfg.radius_cap)
         ref = oracles.scatter_reference(feats.features, pixels, radii, spec.h, spec.w)
         worst = max(worst, 0.0 if np.array_equal(grid.data, ref) else _maxabs(grid.data, ref))
     return worst, "bit-equal to per-(pixel,point) oracle"

@@ -32,10 +32,30 @@ def test_csv_and_text_outputs():
     assert "deform" in text and "dense" in text and "per_dbl" in text
 
 
+def import_spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("spans")
+
+
 def test_benchmark_hooks_resolve(monkeypatch):
     """Every name the traced benchmark wraps or imports still exists."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    spans = importlib.import_module("spans")
+    spans = import_spans(monkeypatch)
     with spans.Tracer():  # entering looks up every wrapped name
         pass
     from rcbev.selfcheck import tiny_pipeline_config  # noqa: F401
+
+
+def test_scatter_stage_spans(monkeypatch):
+    """The traced run sees the scatter stage's two rcs_scatter calls and its
+    one gaussian_bev_map call; without them bev.scatter_s and bev.gaussian_s
+    would read 0 while the stage still runs."""
+    spans = import_spans(monkeypatch)
+    from rcbev import pipeline
+    from rcbev.selfcheck import tiny_pipeline_config
+
+    with spans.Tracer() as tracer:
+        pipeline.run_pipeline(tiny_pipeline_config())
+    (run,) = [i for i, s in enumerate(tracer.spans) if s.name == spans.RUN]
+    direct = [s.name for s in tracer.spans if s.parent == run]
+    assert direct.count("bev.scatter") == 2
+    assert direct.count("bev.gaussian") == 1

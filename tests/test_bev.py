@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from rcbev.bev import (
     CbrBlockParams,
     ScatterConfig,
     bev_encode,
+    footprint,
     gaussian_bev_map,
     load_grid,
     rcs_bev_feature,
@@ -75,6 +79,20 @@ class TestToPixel:
         with pytest.raises(ContractError):
             to_pixel((16.0, 0.0), SPEC)
 
+    def test_array_matches_scalar_rows(self):
+        coords = feature_set(40).coords
+        uv, pix = to_pixel(coords, SPEC)
+        for i, row in enumerate(coords):
+            (u, v), (px, py) = to_pixel(row, SPEC)
+            assert (uv[i, 0], uv[i, 1], pix[i, 0], pix[i, 1]) == (u, v, px, py)
+
+    def test_array_error_names_first_outside_point(self):
+        coords = feature_set(6).coords.copy()
+        coords[2] = (3.5, 16.0)
+        coords[4] = (-17.0, 1.25)
+        with pytest.raises(ContractError, match=r"\(3\.5, 16\.0\)"):
+            to_pixel(coords, SPEC)
+
 
 class TestScatterRadius:
     def test_zero_rcs(self):
@@ -87,6 +105,15 @@ class TestScatterRadius:
     def test_cap(self):
         r = scatter_radius((100.0, 100.0), 1.0, ScatterConfig(radius_scale=1.0, radius_cap=5.0))
         assert r == 5.0
+
+    def test_array_matches_scalar_rows(self):
+        feats = feature_set(40)
+        uv, _ = to_pixel(feats.coords, SPEC)
+        cfg = ScatterConfig(radius_scale=0.03, radius_cap=4.0)
+        radii = scatter_radius(uv, feats.rcs_norm, cfg)
+        assert radii.shape == (40,)
+        for i in range(40):
+            assert radii[i] == scatter_radius(tuple(uv[i]), float(feats.rcs_norm[i]), cfg)
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ConfigError):
@@ -182,6 +209,55 @@ class TestRcsScatter:
         b = rcs_scatter(feats, SPEC, cfg)
         assert np.array_equal(a.data, b.data)
 
+    def test_points_in_last_row_and_column(self):
+        top = np.nextafter(16.0, 0.0)
+        coords = np.array([[top, top], [top, 3.25], [-7.5, top], [top, -16.0], [-16.0, top]])
+        feats = PointFeatureSet(rng.standard_normal((5, 3)), coords, rng.uniform(0, 1, 5))
+        cfg = ScatterConfig(radius_scale=0.01, radius_cap=3.0)
+        grid = rcs_scatter(feats, SPEC, cfg)
+        assert grid.data[:, SPEC.h - 1, SPEC.w - 1].any()
+        assert np.array_equal(grid.data, oracle_scatter(feats, SPEC, cfg))
+
+    def test_cap_beyond_every_edge(self):
+        spec = BevSpec.from_extent(0.0, 12.0, -3.0, 6.0, 1.0)
+        feats = feature_set(20, spec, rcs=np.ones(20))
+        cfg = ScatterConfig(radius_scale=50.0, radius_cap=40.0)
+        grid = rcs_scatter(feats, spec, cfg)
+        assert np.all(grid.data.any(axis=0))
+        assert np.array_equal(grid.data, oracle_scatter(feats, spec, cfg))
+
+    def test_zero_cap_is_own_pixel(self):
+        feats = feature_set(30)
+        cfg = ScatterConfig(radius_scale=0.1, radius_cap=0.0)
+        grid = rcs_scatter(feats, SPEC, cfg)
+        assert np.array_equal(grid.data, oracle_scatter(feats, SPEC, cfg))
+
+    def test_no_points(self):
+        feats = feature_set(0)
+        grid = rcs_scatter(feats, SPEC, ScatterConfig())
+        assert grid.data.shape == (4, SPEC.h, SPEC.w)
+        assert np.array_equal(grid.data, oracle_scatter(feats, SPEC, ScatterConfig()))
+
+    def test_peak_memory_does_not_grow_with_table_times_channels(self):
+        # the frame_dense shape: N = 864 points on a 32 x 32 grid, C = 64
+        spec = BevSpec.from_extent(-51.2, 51.2, -51.2, 51.2, 3.2)
+        cfg = ScatterConfig()
+        wide = feature_set(864, spec, c=64)
+        uv, _ = to_pixel(wide.coords, spec)
+        entries = len(footprint(uv, scatter_radius(uv, wide.rcs_norm, cfg), spec)[0])
+        peaks = {}
+        for c in (1, 64):
+            feats = PointFeatureSet(wide.features[:, :c].copy(), wide.coords, wide.rcs_norm)
+            tracemalloc.start()
+            try:
+                rcs_scatter(feats, spec, cfg)
+                peaks[c] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # gathering the whole table x C block at once would add 63 float64
+        # columns of the table between C = 1 and C = 64
+        assert peaks[64] - peaks[1] < 8 * entries * 8
+
 
 class TestGaussianMap:
     CFG = ScatterConfig(radius_scale=0.06, radius_cap=6.0)
@@ -226,6 +302,29 @@ class TestGaussianMap:
         g = gaussian_bev_map(np.array([[0.0, 0.0]]), np.array([0.9]), spec, self.CFG)
         assert g.data[0, 0, 0] == 1.0
         assert np.count_nonzero(g.data) == 1
+
+    @pytest.mark.parametrize("side", [(24, 24), (20, 13)])
+    def test_bit_equal_to_per_point_loop(self, side):
+        w, h = side
+        spec = BevSpec.from_extent(0.0, float(w), 0.0, float(h), 1.0)
+        uv = np.stack([rng.uniform(0, w, 50), rng.uniform(0, h, 50)], axis=1)
+        vr = rng.uniform(0, 1, 50)
+        # a degenerate denominator at pixel (0, 0), then one footprint
+        # clipped by each grid edge
+        edges = [(0.0, 0.0), (0.3, h / 2), (w - 0.2, h / 2), (w / 2, 0.1), (w / 2, h - 0.1)]
+        uv = np.concatenate([uv, edges])
+        vr = np.concatenate([vr, [0.9, 1.0, 1.0, 1.0, 1.0]])
+        ref = np.zeros((h, w))
+        for (u, v), v_rcs in zip(uv.tolist(), vr.tolist()):
+            p = (min(math.floor(u), w - 1), min(math.floor(v), h - 1))
+            r = min(self.CFG.radius_scale * (u * u + v * v) * v_rcs, self.CFG.radius_cap)
+            for qy in range(h):
+                for qx in range(w):
+                    if (qx, qy) == p or (qx - p[0]) ** 2 + (qy - p[1]) ** 2 < r * r:
+                        val = oracles.gaussian_value((qx, qy), p, (u, v), v_rcs)
+                        ref[qy, qx] = max(ref[qy, qx], val)
+        g = gaussian_bev_map(uv, vr, spec, self.CFG)
+        assert np.array_equal(g.data[0], ref)
 
 
 def mix_mlp(*layers):
