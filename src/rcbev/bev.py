@@ -22,7 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, ShapeError, require_finite, require_inside
+from .errors import (
+    ConfigError, DataError, FormatError, ShapeError, require_finite, require_finite_fields, require_inside,
+)
 from .ingest import PointFeatureSet
 from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3, mlp, relu
 from .weights import TensorSource, INIT_GLOROT, INIT_ONES, INIT_ZEROS, linear_schema
@@ -48,9 +50,7 @@ class BevSpec:
     w: int
 
     def __post_init__(self):
-        require_finite(
-            x_min=self.x_min, x_max=self.x_max, y_min=self.y_min, y_max=self.y_max, resolution=self.resolution
-        )
+        require_finite_fields(self)
         if self.resolution <= 0:
             raise ConfigError(f"resolution must be positive, got {self.resolution}")
         if self.h <= 0 or self.w <= 0:
@@ -70,9 +70,9 @@ class BevSpec:
         require_finite(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max, resolution=resolution)
         if resolution <= 0:
             raise ConfigError(f"resolution must be positive, got {resolution}")
-        w = round((x_max - x_min) / resolution)
-        h = round((y_max - y_min) / resolution)
-        return BevSpec(x_min, x_max, y_min, y_max, resolution, h, w)
+        w, h = (x_max - x_min) / resolution, (y_max - y_min) / resolution
+        require_finite(**{"(x_max - x_min) / resolution": w, "(y_max - y_min) / resolution": h})
+        return BevSpec(x_min, x_max, y_min, y_max, resolution, round(h), round(w))
 
 
 @dataclass
@@ -105,7 +105,7 @@ class ScatterConfig:
     radius_cap: float = 5.0
 
     def __post_init__(self):
-        require_finite(radius_scale=self.radius_scale, radius_cap=self.radius_cap)
+        require_finite_fields(self)
         if self.radius_scale < 0 or self.radius_cap < 0:
             raise ConfigError("scatter radius scale/cap must be >= 0")
 
@@ -180,7 +180,10 @@ def gaussian_bev_map(
     v_rcs = as_f64(v_rcs).reshape(-1)
     if uv.shape[0] != v_rcs.shape[0]:
         raise ShapeError(f"{uv.shape[0]} coords vs {v_rcs.shape[0]} rcs values")
-    require_inside(uv, 0, (spec.w, spec.h), "pixel coordinate ({}, {}) outside the grid")
+    # to_pixel maps the half-open ROI onto the closed [0, extent / resolution]:
+    # (y - y_min) / resolution can round up to H for y just below y_max
+    uv_max = (np.array((spec.x_max, spec.y_max)) - (spec.x_min, spec.y_min)) / spec.resolution
+    require_inside(uv, 0, np.nextafter(uv_max, np.inf), "pixel coordinate ({}, {}) outside the grid")
     u, v = uv[:, 0], uv[:, 1]
     pt, pixel, d2 = footprint(uv, scatter_radius(uv, v_rcs, cfg), spec)
     denom = ((u * u + v * v) * v_rcs / 3.0)[pt]

@@ -7,9 +7,11 @@ Unknown keys are rejected. Every default is documented next to its field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import re
+from collections import defaultdict
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, get_type_hints
 
 from .backbone import BackboneArch, BackboneParams, backbone_schema
 from .bev import BevSpec, CbrBlockParams, ScatterConfig, encoder_schema
@@ -167,115 +169,94 @@ def _as_int_tuple(key: str, v: str) -> tuple[int, ...]:
         raise ConfigError(f"key '{key}': expected comma-separated integers, got {v!r}") from None
 
 
-def _scene_from_kv(kv: dict[str, str], defaults: SceneConfig) -> SceneConfig:
-    scene_keys = {k: v for k, v in kv.items() if k.startswith("scene.")}
-    if not scene_keys:
-        return defaults
-    simple = {
-        "scene.n_clusters": ("n_clusters", _as_int),
-        "scene.points_per_cluster": ("points_per_cluster", _as_int),
-        "scene.azimuth_noise_deg": ("azimuth_noise_deg", _as_float),
-        "scene.n_sweeps": ("n_sweeps", _as_int),
-        "scene.sweep_period_s": ("sweep_period_s", _as_float),
-        "scene.range_spread_m": ("range_spread_m", _as_float),
-        "scene.z_m": ("z_m", _as_float),
-        "scene.max_range_m": ("max_range_m", _as_float),
-        "scene.frame_id": ("frame_id", lambda _k, v: v),
-    }
-    fields: dict = {}
-    cluster_kv: dict[int, dict[str, str]] = {}
-    for key, value in scene_keys.items():
-        if key in simple:
-            name, conv = simple[key]
-            fields[name] = conv(key, value)
-            continue
-        parts = key.split(".")
-        if len(parts) == 4 and parts[1] == "cluster" and parts[2].isdigit():
-            cluster_kv.setdefault(int(parts[2]), {})[parts[3]] = value
-            continue
-        raise ConfigError(f"unknown config key '{key}'")
-    clusters = []
-    for idx in sorted(cluster_kv):
-        ck = cluster_kv[idx]
-        try:
-            clusters.append(
-                ClusterSpec(
-                    bearing_deg=float(ck["bearing_deg"]),
-                    range_m=float(ck["range_m"]),
-                    n_points=int(ck.get("n_points", fields.get("points_per_cluster", defaults.points_per_cluster))),
-                    rcs_dbsm=float(ck.get("rcs_dbsm", 10.0)),
-                    speed_mps=float(ck.get("speed_mps", 0.0)),
-                    heading_deg=float(ck.get("heading_deg", 0.0)),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"scene.cluster.{idx} is missing field {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"scene.cluster.{idx}: {exc}") from None
-    if clusters:
-        fields["clusters"] = tuple(clusters)
-        fields.setdefault("n_clusters", len(clusters))
-    return replace(defaults, **fields)
+_PARSERS = {int: _as_int, float: _as_float, tuple[int, ...]: _as_int_tuple}
+_PARSERS[str] = _PARSERS[Optional[str]] = lambda _key, v: v
+
+# top-level keys are named by pipeline part, not by PipelineConfig field
+_TOP_LEVEL = {
+    "backbone.widths": "stage_widths",
+    "backbone.dmsa_heads": "dmsa_heads",
+    "backbone.cross_heads": "cross_heads",
+    "backbone.ffn_mult": "ffn_mult",
+    "rcs_mlp.hidden": "rcs_hidden",
+    "rcs_mlp.out": "rcs_out",
+    "enc.blocks": "enc_blocks",
+    "enc.channels": "radar_channels",
+    "align.heads": "deform_heads",
+    "align.points": "deform_points",
+    "cam.channels": "cam_channels",
+    "cam.modes": "cam_modes",
+    "fuse.channels": "fused_channels",
+    "fuse.blocks": "fuse_blocks",
+    "pipeline.seed": "seed",
+    "pipeline.eps": "eps",
+    "pipeline.weights": "weights_path",
+}
+# nested keys are "<prefix>.<field>" for every field of the prefix's dataclass
+# but those listed, which no key sets
+_NESTED = {
+    "bev": (BevSpec, ("h", "w")),  # follow from extent and resolution
+    "scatter": (ScatterConfig, ()),
+    "scene": (SceneConfig, ("clusters",)),  # built from the scene.cluster.<i>.* keys
+    "scene.cluster.0": (ClusterSpec, ()),  # stands for every cluster index <i>
+}
+_CLUSTER_KEY = re.compile(r"scene\.cluster\.(0|[1-9][0-9]*)\.(.*)")  # canonical indices only
 
 
-def config_from_kv(kv: dict[str, str], base: Optional[PipelineConfig] = None) -> PipelineConfig:
-    cfg = base or PipelineConfig()
-    bev_kv = {
-        "bev.x_min": cfg.bev.x_min,
-        "bev.x_max": cfg.bev.x_max,
-        "bev.y_min": cfg.bev.y_min,
-        "bev.y_max": cfg.bev.y_max,
-        "bev.resolution": cfg.bev.resolution,
-    }
-    scalar_keys = {
-        "backbone.widths": ("stage_widths", _as_int_tuple),
-        "backbone.dmsa_heads": ("dmsa_heads", _as_int),
-        "backbone.cross_heads": ("cross_heads", _as_int),
-        "backbone.ffn_mult": ("ffn_mult", _as_int),
-        "rcs_mlp.hidden": ("rcs_hidden", _as_int_tuple),
-        "rcs_mlp.out": ("rcs_out", _as_int),
-        "enc.blocks": ("enc_blocks", _as_int),
-        "enc.channels": ("radar_channels", _as_int),
-        "align.heads": ("deform_heads", _as_int),
-        "align.points": ("deform_points", _as_int),
-        "cam.channels": ("cam_channels", _as_int),
-        "cam.modes": ("cam_modes", _as_int),
-        "fuse.channels": ("fused_channels", _as_int),
-        "fuse.blocks": ("fuse_blocks", _as_int),
-        "pipeline.seed": ("seed", _as_int),
-        "pipeline.eps": ("eps", _as_float),
-        "pipeline.weights": ("weights_path", lambda _k, v: v),
-    }
-    updates: dict = {}
-    rcs_lo, rcs_hi = cfg.rcs_bounds
-    scale, cap = cfg.scatter.radius_scale, cfg.scatter.radius_cap
+def _key_table() -> dict[str, tuple[str, str | int, Callable[[str, str], object]]]:
+    """Every config key -> (prefix, field or tuple slot, parser); the parser
+    follows the field's declared type."""
+    hints = get_type_hints(PipelineConfig)
+    table = {key: ("", name, _PARSERS[hints[name]]) for key, name in _TOP_LEVEL.items()}
+    table["rcs.lo"] = ("rcs", 0, _as_float)  # the two slots of rcs_bounds
+    table["rcs.hi"] = ("rcs", 1, _as_float)
+    for prefix, (cls, unkeyed) in _NESTED.items():
+        hints = get_type_hints(cls)
+        for name in (f.name for f in fields(cls) if f.name not in unkeyed):
+            table[f"{prefix}.{name}"] = (prefix, name, _PARSERS[hints[name]])
+    return table
+
+
+_KEYS = _key_table()
+
+
+def _cluster(idx: int, given: dict, points_per_cluster: int) -> ClusterSpec:
+    spec = {"n_points": points_per_cluster, "rcs_dbsm": 10.0, **given}
+    missing = [f.name for f in fields(ClusterSpec) if f.name not in spec and f.default is MISSING]
+    if missing:
+        raise ConfigError(f"scene.cluster.{idx} is missing field '{missing[0]}'")
+    return ClusterSpec(**spec)
+
+
+def config_from_kv(kv: dict[str, str]) -> PipelineConfig:
+    """The default config with the given keys set; every key is parsed by the
+    type of the field it sets, and the dataclasses check the values."""
+    got: dict[str, dict] = defaultdict(dict)
+    clusters: dict[int, dict] = {}
     for key, value in kv.items():
-        if key.startswith("scene."):
-            continue
-        if key in bev_kv:
-            bev_kv[key] = _as_float(key, value)
-        elif key == "rcs.lo":
-            rcs_lo = _as_float(key, value)
-        elif key == "rcs.hi":
-            rcs_hi = _as_float(key, value)
-        elif key == "scatter.radius_scale":
-            scale = _as_float(key, value)
-        elif key == "scatter.radius_cap":
-            cap = _as_float(key, value)
-        elif key in scalar_keys:
-            name, conv = scalar_keys[key]
-            updates[name] = conv(key, value)
-        else:
+        cluster = _CLUSTER_KEY.fullmatch(key)
+        entry = _KEYS.get(f"scene.cluster.0.{cluster[2]}" if cluster else key)
+        if entry is None:
             raise ConfigError(f"unknown config key '{key}'")
-    updates["bev"] = BevSpec.from_extent(
-        bev_kv["bev.x_min"], bev_kv["bev.x_max"], bev_kv["bev.y_min"], bev_kv["bev.y_max"],
-        bev_kv["bev.resolution"],
+        prefix, name, parse = entry
+        target = clusters.setdefault(int(cluster[1]), {}) if cluster else got[prefix]
+        target[name] = parse(key, value)
+    cfg = PipelineConfig()
+    extent = {name: getattr(cfg.bev, name) for prefix, name, _ in _KEYS.values() if prefix == "bev"} | got["bev"]
+    scene = got["scene"]
+    if clusters:
+        ppc = scene.get("points_per_cluster", cfg.scene.points_per_cluster)
+        specs = tuple(_cluster(i, clusters[i], ppc) for i in sorted(clusters))
+        scene = {"n_clusters": len(specs), **scene, "clusters": specs}
+    return replace(
+        cfg,
+        **got[""],
+        bev=BevSpec.from_extent(**extent),
+        rcs_bounds=tuple(got["rcs"].get(slot, v) for slot, v in enumerate(cfg.rcs_bounds)),
+        scatter=replace(cfg.scatter, **got["scatter"]),
+        scene=replace(cfg.scene, **scene),
     )
-    updates["rcs_bounds"] = (rcs_lo, rcs_hi)
-    updates["scatter"] = ScatterConfig(scale, cap)
-    updates["scene"] = _scene_from_kv(kv, cfg.scene)
-    return replace(cfg, **updates)
 
 
-def load_config(path: str | Path, base: Optional[PipelineConfig] = None) -> PipelineConfig:
-    return config_from_kv(parse_kv_text(Path(path).read_text()), base)
+def load_config(path: str | Path) -> PipelineConfig:
+    return config_from_kv(parse_kv_text(Path(path).read_text()))

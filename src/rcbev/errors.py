@@ -49,6 +49,11 @@ def require_finite(**fields: float) -> None:
         raise ConfigError(f"values must be finite, got {', '.join(bad)}")
 
 
+def require_finite_fields(obj) -> None:
+    """require_finite over every float field of the dataclass instance ``obj``."""
+    require_finite(**{name: v for name, v in vars(obj).items() if isinstance(v, (float, np.floating))})
+
+
 def require_inside(xy, lo, hi, message: str) -> None:
     """Raise a ContractError, ``message`` formatted with the first row of ``xy`` outside [lo, hi)."""
     rows = np.asarray(xy, dtype=np.float64).reshape(-1, 2)

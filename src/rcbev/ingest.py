@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, ShapeError, require_inside
+from .errors import ConfigError, DataError, FormatError, ShapeError, require_finite_fields, require_inside
 
 CSV_COLUMNS = ("x", "y", "z", "rcs", "vx", "vy", "sweep_offset")  # also the columns of PointCloud.rows
 SORT_PRIORITY = (6, 0, 1, 2, 3, 4, 5)  # sweep_offset, x, y, z, rcs, vx, vy
@@ -193,6 +193,11 @@ class ClusterSpec:
     speed_mps: float = 0.0
     heading_deg: float = 0.0
 
+    def __post_init__(self):
+        require_finite_fields(self)
+        if self.n_points < 0:
+            raise ConfigError(f"n_points must be >= 0, got {self.n_points}")
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -208,8 +213,11 @@ class SceneConfig:
     clusters: tuple[ClusterSpec, ...] = ()
 
     def __post_init__(self):
-        if self.n_clusters < 0 or self.points_per_cluster < 0 or self.n_sweeps < 0:
-            raise ConfigError("scene counts must be >= 0")
+        require_finite_fields(self)
+        nonneg = ("n_clusters", "points_per_cluster", "n_sweeps", "azimuth_noise_deg")
+        bad = [f"{name} = {getattr(self, name)}" for name in nonneg if getattr(self, name) < 0]
+        if bad:
+            raise ConfigError(f"scene values must be >= 0, got {', '.join(bad)}")
 
 
 def synth_scene(config: SceneConfig, seed: int) -> PointCloud:

@@ -303,6 +303,25 @@ class TestGaussianMap:
         assert g.data[0, 0, 0] == 1.0
         assert np.count_nonzero(g.data) == 1
 
+    @pytest.mark.parametrize(
+        "spec, xy",
+        [
+            (BevSpec.from_extent(-8.0, 8.0, -8.0, 8.0, 1.0), (0.5, 7.999999999999999)),
+            (BevSpec.from_extent(-8.0, 8.0, -8.0, 8.0, 1.0), (7.999999999999999, 0.5)),
+            (BevSpec.from_extent(-51.2, 51.2, -51.2, 51.2, 0.8), (0.0, 51.199999999999996)),
+        ],
+    )
+    def test_accepts_uv_of_a_point_just_inside_the_upper_edge(self, spec, xy):
+        uv, (px, py) = to_pixel(xy, spec)
+        assert max(uv[0] - spec.w, uv[1] - spec.h) == 0.0  # rounded up onto the edge
+        g = gaussian_bev_map(np.array([uv]), np.array([0.5]), spec, self.CFG)
+        assert g.data[0, py, px] == 1.0
+
+    @pytest.mark.parametrize("uv", [(16.000000000000004, 3.0), (3.0, 16.000000000000004), (-1e-300, 3.0)])
+    def test_rejects_uv_beyond_the_grid(self, uv):
+        with pytest.raises(ContractError, match="outside the grid"):
+            gaussian_bev_map(np.array([uv]), np.array([0.5]), BevSpec.from_extent(0.0, 16.0, 0.0, 16.0, 1.0), self.CFG)
+
     @pytest.mark.parametrize("side", [(24, 24), (20, 13)])
     def test_bit_equal_to_per_point_loop(self, side):
         w, h = side

@@ -267,6 +267,19 @@ class TestSynthScene:
         for x, y in cloud.rows[:, :2]:
             assert math.degrees(math.atan2(y, x)) == pytest.approx(30.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_range_m", math.nan), ("z_m", math.inf), ("azimuth_noise_deg", -0.1), ("n_sweeps", -1)],
+    )
+    def test_scene_value_error_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SceneConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("range_m", math.nan), ("heading_deg", -math.inf), ("n_points", -1)])
+    def test_cluster_value_error_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ClusterSpec(**{"bearing_deg": 0.0, "range_m": 5.0, "n_points": 3, "rcs_dbsm": 1.0, field: value})
+
     def test_zero_clusters_empty(self):
         assert len(synth_scene(SceneConfig(n_clusters=0), 0)) == 0
 

@@ -70,6 +70,14 @@ class TestConfigFile:
             "scatter.radius_scale = nan",
             "scatter.radius_cap = inf",
             "pipeline.eps = nan",
+            "scene.max_range_m = nan",
+            "scene.sweep_period_s = inf",
+            "scene.azimuth_noise_deg = -0.5",
+            "scene.cluster.0.bearing_deg = 30\nscene.cluster.0.range_m = nan",
+            "scene.cluster.0.bearing_deg = 30\nscene.cluster.0.range_m = 5\nscene.cluster.0.speed_mps = -inf",
+            "scene.cluster.0.bearing_deg = 30\nscene.cluster.0.range_m = 5\nscene.cluster.0.n_points = -1",
+            "bev.x_min = -1e308\nbev.x_max = 1e308",
+            "bev.resolution = 5e-324",
         ],
     )
     def test_negative_count_or_size_rejected(self, bad, tmp_path):
@@ -239,6 +247,15 @@ class TestRunPipeline:
             assert np.array_equal(out.fused.data, ref.fused.data)
             assert np.array_equal(out.radar_bev.data, ref.radar_bev.data)
 
+    @pytest.mark.parametrize(
+        "xy, pixel", [((0.5, 7.999999999999999), (8, 15)), ((7.999999999999999, 0.5), (15, 8))]
+    )
+    def test_point_just_inside_the_upper_edge(self, xy, pixel):
+        # (xy - min) / resolution rounds up to 16.0, the grid size, at both edges
+        out, _ = run_pipeline(small_cfg(), cloud=PointCloud(np.array([[*xy, 0.0, 5.0, 0.0, 0.0, 0.0]])))
+        px, py = pixel
+        assert out.g_rcs.data[0, py, px] == 1.0 and out.f_rcs.data[:, py, px].any()
+
     def test_report_has_all_stages(self):
         _, report = run_pipeline(small_cfg())
         names = [s.name for s in report.stages]
@@ -379,6 +396,14 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "resolution" in err and "Traceback" not in err
+
+    def test_overflowing_extent_exits_with_error_not_traceback(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("bev.x_min = -1e308\nbev.x_max = 1e308\n")
+        rc = cli_main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "x_max - x_min" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command, flag",
