@@ -5,7 +5,8 @@ next to a transformer stream whose self-attention logits are penalized by
 beta * squared BEV distance, so each head can shrink its receptive field to
 nearby points. The streams exchange information every stage through gated
 cross-attention (inject) and cross-attention + feed-forward (extract), and are
-merged by a final linear layer.
+merged by a final linear layer. Cross-attention is the DMSA per-head body
+without the distance term: both run through one multi-head path.
 
 Both attentions gather their keys in one canonical order (nn.key_order) and
 reduce them in that order; queries keep their input order and every query row
@@ -111,7 +112,6 @@ class StageParams:
     tf: TransformerBlockParams
     inject: InjectionParams
     extract: ExtractionParams
-    width: int
 
 
 @dataclass(frozen=True)
@@ -189,24 +189,25 @@ def pairwise_sq_dist(coords: np.ndarray) -> np.ndarray:
     return dx * dx + dy * dy
 
 
-def dmsa_logits(q: np.ndarray, k: np.ndarray, d2: np.ndarray, beta: float) -> np.ndarray:
-    q, k, d2 = as_f64(q), as_f64(k), as_f64(d2)
+def dmsa_weights(q: np.ndarray, k: np.ndarray, d2: Optional[np.ndarray], beta: float) -> np.ndarray:
+    """Row-stochastic softmax(QK^T / sqrt(d) - beta * D^2) over the rows of k;
+    d2 None leaves out the distance term."""
+    q, k = as_f64(q), as_f64(k)
     n, d = q.shape
-    if k.shape != (n, d) or d2.shape != (n, n):
-        raise ShapeError(f"dmsa shapes disagree: q {q.shape}, k {k.shape}, d2 {d2.shape}")
-    return np.einsum("id,jd->ij", q, k, optimize=False) / math.sqrt(d) - beta * d2
-
-
-def dmsa_weights(q: np.ndarray, k: np.ndarray, d2: np.ndarray, beta: float) -> np.ndarray:
-    """Row-stochastic attention weights with the distance penalty applied."""
-    return softmax(dmsa_logits(q, k, d2, beta), axis=1)
+    if k.shape != (n, d) or (d2 is not None and np.shape(d2) != (n, n)):
+        raise ShapeError(f"dmsa shapes disagree: q {q.shape}, k {k.shape}, d2 {np.shape(d2)}")
+    logits = np.einsum("id,jd->ij", q, k, optimize=False) / math.sqrt(d)
+    if d2 is not None:
+        logits -= beta * as_f64(d2)
+    return softmax(logits, axis=1)
 
 
 def dmsa_head(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, d2: np.ndarray, beta: float
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, d2: Optional[np.ndarray], beta: float
 ) -> np.ndarray:
     """Softmax(QK^T / sqrt(d) - beta * D^2) V, with keys reduced in the given
-    order (rows of k and v, columns of d2).
+    order (rows of k and v, columns of d2); d2 None is plain scaled
+    dot-product attention.
 
     The subtracted-logit form equals modulating with the Gaussian weight map
     exp(-D^2 * beta) in log space; beta = 0 reduces to vanilla attention.
@@ -219,6 +220,16 @@ def dmsa_head(
     return attend(dmsa_weights(q, k, d2, beta), v)
 
 
+def _multi_head(xq: np.ndarray, xkv: np.ndarray, p, d2: Optional[np.ndarray] = None) -> np.ndarray:
+    """The heads of p (MultiHeadDmsaParams or CrossAttnParams), one dmsa_head
+    each over its projections of the queries xq and the keys/values xkv (rows
+    in key order), concatenated and projected by (p.wo, p.bo)."""
+    outs = [
+        dmsa_head(contract(xq, h.wq), contract(xkv, h.wk), contract(xkv, h.wv), d2, h.beta) for h in p.heads
+    ]
+    return linear(np.concatenate(outs, axis=1), p.wo, p.bo)
+
+
 def multi_head_dmsa(f: np.ndarray, coords: np.ndarray, p: MultiHeadDmsaParams) -> np.ndarray:
     """Per-head projections and distance penalties, concatenated then projected.
     Keys are taken in key_order(f, coords); queries keep the input order."""
@@ -227,15 +238,7 @@ def multi_head_dmsa(f: np.ndarray, coords: np.ndarray, p: MultiHeadDmsaParams) -
     if p.wo.shape[1] != c:
         raise ConfigError(f"attention configured for C={p.wo.shape[1]}, input has C={c}")
     order = key_order(f, coords)
-    fk = f[order]
-    d2 = pairwise_sq_dist(coords)[:, order]
-    outs = []
-    for head in p.heads:
-        q = contract(f, head.wq)
-        k = contract(fk, head.wk)
-        v = contract(fk, head.wv)
-        outs.append(dmsa_head(q, k, v, d2, head.beta))
-    return linear(np.concatenate(outs, axis=1), p.wo, p.bo)
+    return _multi_head(f, f[order], p, pairwise_sq_dist(coords)[:, order])
 
 
 def transformer_block(f: np.ndarray, coords: np.ndarray, p: TransformerBlockParams) -> np.ndarray:
@@ -246,22 +249,13 @@ def transformer_block(f: np.ndarray, coords: np.ndarray, p: TransformerBlockPara
 
 
 def cross_attention(q_in: np.ndarray, kv_in: np.ndarray, p: CrossAttnParams) -> np.ndarray:
-    """Dense multi-head cross-attention with layer-normed operands; keys are
-    taken in key_order(kv_in), queries keep the input order."""
+    """Dense multi-head cross-attention with layer-normed operands: the DMSA
+    heads without the distance term. Keys are taken in key_order(kv_in),
+    queries keep the input order."""
     q_in, kv_in = as_f64(q_in), as_f64(kv_in)
     if q_in.shape != kv_in.shape:
         raise ShapeError(f"cross_attention operands differ: {q_in.shape} vs {kv_in.shape}")
-    qn = layer_norm(q_in, p.lnq)
-    kn = layer_norm(kv_in[key_order(kv_in)], p.lnkv)
-    outs = []
-    for head in p.heads:
-        q = contract(qn, head.wq)
-        k = contract(kn, head.wk)
-        v = contract(kn, head.wv)
-        d = q.shape[1]
-        logits = np.einsum("id,jd->ij", q, k, optimize=False) / math.sqrt(d)
-        outs.append(attend(softmax(logits, axis=1), v))
-    return linear(np.concatenate(outs, axis=1), p.wo, p.bo)
+    return _multi_head(layer_norm(q_in, p.lnq), layer_norm(kv_in[key_order(kv_in)], p.lnkv), p)
 
 
 def inject(f_p: np.ndarray, f_t: np.ndarray, p: InjectionParams) -> np.ndarray:
@@ -379,7 +373,7 @@ def backbone_schema(src: TensorSource, arch: BackboneArch) -> BackboneParams:
             _ln_schema(src, f"{sp}.extract.ffn_ln", width, arch.eps),
             _ffn_schema(src, f"{sp}.extract.ffn", width, arch.ffn_mult),
         )
-        stages.append(StageParams(point, tf_in, tf, inj, ext, width))
+        stages.append(StageParams(point, tf_in, tf, inj, ext))
         prev = width
     out = arch.out_channels
     return BackboneParams(tuple(stages), *linear_schema(src, "merge", out, 2 * out))

@@ -47,7 +47,7 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
 
 
 def _load_cfg(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
+    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "weights", None) is not None:
@@ -126,7 +126,7 @@ def cmd_selfcheck(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = run_bench(seed=args.seed if args.seed is not None else 0)
+    report = run_bench(seed=_load_cfg(args).seed)
     print(report.to_text())
     if args.out:
         Path(args.out).write_text(report.to_csv())

@@ -17,7 +17,7 @@ from .backbone import BackboneArch, BackboneParams, backbone_schema
 from .bev import BevSpec, CbrBlockParams, ScatterConfig, encoder_schema
 from .errors import ConfigError, require_finite
 from .fusion import AlignParams, FuseParams, fusion_schema
-from .ingest import ClusterSpec, SceneConfig
+from .ingest import DEFAULT_RCS_BOUNDS, ClusterSpec, SceneConfig
 from .nn import MlpParams
 from .weights import TensorSource, TensorSpec, record_tensors
 
@@ -35,7 +35,7 @@ class PipelineConfig:
     ffn_mult: int = 2  # feed-forward hidden width multiplier
     # RCS-aware scatter: radius = min(scale * range_px^2 * v_rcs, cap)
     scatter: ScatterConfig = field(default_factory=ScatterConfig)  # scale 0.02, cap 5 px
-    rcs_bounds: tuple[float, float] = (-20.0, 30.0)  # dBsm normalization window
+    rcs_bounds: tuple[float, float] = DEFAULT_RCS_BOUNDS  # dBsm normalization window
     rcs_hidden: tuple[int, ...] = (64,)  # hidden widths of the per-pixel mix MLP
     rcs_out: int = 64  # channels of the mixed RCS-aware feature
     enc_blocks: int = 2  # residual conv blocks in the BEV encoder
@@ -56,8 +56,9 @@ class PipelineConfig:
     def __post_init__(self):
         if len(self.stage_widths) < 1:
             raise ConfigError("need at least one backbone stage")
-        if self.enc_blocks < 0 or self.fuse_blocks < 0:
-            raise ConfigError(f"block counts must be >= 0, got enc {self.enc_blocks}, fuse {self.fuse_blocks}")
+        bad = [f"{n} = {getattr(self, n)}" for n in ("enc_blocks", "fuse_blocks", "seed") if getattr(self, n) < 0]
+        if bad:
+            raise ConfigError(f"values must be >= 0, got {', '.join(bad)}")
         sizes = {
             "radar_channels": self.radar_channels,
             "cam_channels": self.cam_channels,

@@ -81,10 +81,13 @@ _COMMENT_RE = re.compile(r"#\s*frame=(\S+)\s+compensated=(true|false)", re.IGNOR
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:
-    """Read the radar CSV format: optional '# frame=<id> compensated=<bool>'
-    comment, header 'x,y,z,rcs,vx,vy,sweep_offset', one point per row."""
+    """Read the radar CSV format (UTF-8): optional '# frame=<id> compensated=<bool>'
+    comment, header naming x,y,z,rcs,vx,vy,sweep_offset once each, one point per row."""
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    try:
+        lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     frame_id, compensated = "", True
     if lines and lines[0].lstrip().startswith("#"):
         m = _COMMENT_RE.search(lines[0])
@@ -98,9 +101,11 @@ def load_point_cloud(path: str | Path) -> PointCloud:
     for col in CSV_COLUMNS:
         if col not in header:
             raise FormatError(f"{path}: missing column '{col}'")
-    for col in header:
+    for i, col in enumerate(header):
         if col not in CSV_COLUMNS:
             raise FormatError(f"{path}: unknown column '{col}'")
+        if col in header[:i]:
+            raise FormatError(f"{path}: duplicate column '{col}'")
     idx = [header.index(col) for col in CSV_COLUMNS]
     rows = []
     for ln_no, ln in enumerate(lines[1:], start=2):
@@ -123,7 +128,7 @@ def save_point_cloud(cloud: PointCloud, path: str | Path) -> None:
     out = [f"# frame={cloud.frame_id or 'unknown'} compensated={str(cloud.compensated).lower()}"]
     out.append(",".join(CSV_COLUMNS))
     out.extend(",".join(map(repr, row)) for row in cloud.rows.tolist())
-    path.write_text("\n".join(out) + "\n")
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 def load_point_cloud_binary(path: str | Path) -> PointCloud:

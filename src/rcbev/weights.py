@@ -44,7 +44,6 @@ class TensorSpec:
 class WeightSet:
     entries: dict[str, np.ndarray] = field(default_factory=dict)
     seed: int | None = None
-    version: int = FORMAT_VERSION
 
     def get(self, name: str) -> np.ndarray:
         try:
@@ -198,7 +197,7 @@ def load_weights(manifest_path: str | Path) -> WeightSet:
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported weight format_version {version!r}")
     payload_name = manifest.get("payload")
-    bare = isinstance(payload_name, str) and payload_name not in ("", "..")
+    bare = isinstance(payload_name, str) and payload_name not in ("", "..") and "\x00" not in payload_name
     if not bare or Path(payload_name).name != payload_name:
         raise FormatError(f"weight manifest 'payload' must be a bare file name, got {payload_name!r}")
     records = manifest.get("tensors", [])

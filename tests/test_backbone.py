@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rcbev.backbone import (
     MultiHeadDmsaParams,
     TransformerBlockParams,
     backbone_schema,
+    cross_attention,
     dmsa_head,
     dmsa_weights,
     dual_backbone_forward,
@@ -25,7 +27,7 @@ from rcbev.backbone import (
 )
 from rcbev.errors import ConfigError, EmptyInputError, ShapeError, WeightLookupError
 from rcbev.ingest import PointFeatureSet
-from rcbev.nn import MlpLayer, MlpParams, contract, identity_norm, key_order, layer_norm, mlp
+from rcbev.nn import MlpLayer, MlpParams, NormParams, contract, identity_norm, key_order, layer_norm, mlp
 from rcbev.weights import WeightSet, init_weights, record_tensors
 
 rng = np.random.default_rng(7)
@@ -333,6 +335,25 @@ class TestInjectExtract:
         att = oracles.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T)
         ref = f_p + att @ p.attn.wo.T + p.attn.bo
         assert np.abs(inject(f_p, f_t, p) - ref).max() < 1e-10
+
+    def test_multi_head_cross_attention_matches_dense_oracle_per_head(self):
+        r = np.random.default_rng(13)
+        c, n = 6, 9
+        lnq = NormParams(r.uniform(0.5, 2.0, c), r.standard_normal(c), 1e-5)
+        lnkv = NormParams(r.uniform(0.5, 2.0, c), r.standard_normal(c), 1e-3)
+        p = replace(random_cross(c, heads=2), lnq=lnq, lnkv=lnkv)
+        q_in, kv_in = r.standard_normal((n, c)), r.standard_normal((n, c))
+
+        def ln(x, norm):
+            centered = x - x.mean(axis=1, keepdims=True)
+            return centered / np.sqrt(x.var(axis=1, keepdims=True) + norm.eps) * norm.scale + norm.shift
+
+        qn, kn = ln(q_in, lnq), ln(kv_in, lnkv)
+        att = np.concatenate(
+            [oracles.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T) for hd in p.heads], axis=1
+        )
+        ref = att @ p.wo.T + p.bo
+        assert np.abs(cross_attention(q_in, kv_in, p) - ref).max() < 1e-10
 
     def test_extract_zero_weights_passes_f_t(self):
         c = 4

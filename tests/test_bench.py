@@ -59,3 +59,20 @@ def test_scatter_stage_spans(monkeypatch):
     direct = [s.name for s in tracer.spans if s.parent == run]
     assert direct.count("bev.scatter") == 2
     assert direct.count("bev.gaussian") == 1
+
+
+def test_attention_spans_per_head(monkeypatch):
+    """Each DMSA head and each head of the inject and extract cross-attention
+    calls backbone.attend and backbone.softmax once, so the traced nn.attend_s
+    and nn.softmax_s cover every attention head of the run."""
+    spans = import_spans(monkeypatch)
+    from rcbev import pipeline
+    from rcbev.selfcheck import tiny_pipeline_config
+
+    cfg = tiny_pipeline_config()
+    with spans.Tracer() as tracer:
+        pipeline.run_pipeline(cfg)
+    names = [s.name for s in tracer.spans]
+    heads = len(cfg.stage_widths) * (cfg.dmsa_heads + 2 * cfg.cross_heads)
+    assert names.count("nn.attend") == heads
+    assert names.count("nn.softmax") == heads

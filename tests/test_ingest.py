@@ -94,6 +94,19 @@ class TestCsv:
             load_point_cloud(path)
 
 
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"x,y,z,rcs,vx,vy,sweep_offset\n1,2,0,1,0,0,0\xff\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_point_cloud(path)
+
+    def test_duplicate_column_named(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("x,y,z,rcs,vx,vy,sweep_offset,x\n1,2,0,1,0,0,0,5\n")
+        with pytest.raises(FormatError, match="duplicate column 'x'"):
+            load_point_cloud(path)
+
+
 class TestBinary:
     def test_roundtrip(self, tmp_path):
         cloud = PointCloud([pt(1.5, 2.5, rcs_dbsm=3.0), pt(-4.0, 0.25, sweep_offset=-0.25)])

@@ -78,6 +78,8 @@ class TestConfigFile:
             "scene.cluster.0.bearing_deg = 30\nscene.cluster.0.range_m = 5\nscene.cluster.0.n_points = -1",
             "bev.x_min = -1e308\nbev.x_max = 1e308",
             "bev.resolution = 5e-324",
+            {"seed": -1},
+            "pipeline.seed = -1",
         ],
     )
     def test_negative_count_or_size_rejected(self, bad, tmp_path):
@@ -404,6 +406,13 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "x_max - x_min" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "gen-cam", "bench"])
+    def test_negative_seed_exits_with_error_not_traceback(self, command, tmp_path, capsys):
+        rc = cli_main([command, "--seed", "-1", "--out", str(tmp_path / "x.out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -196,6 +196,7 @@ def one_tensor(shape, byte_length=16, payload="w.json.bin"):
         pytest.param(one_tensor([0], byte_length=0), b"", id="zero-size"),
         pytest.param([one_tensor([4])], bytes(16), id="top-level-list"),
         pytest.param(one_tensor([4], payload="../w.json.bin"), bytes(16), id="payload-parent-path"),
+        pytest.param(one_tensor([4], payload="w.json\x00.bin"), bytes(16), id="payload-nul-byte"),
     ],
 )
 def test_malformed_manifest_rejected(tmp_path, manifest, payload):
