@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fusion import DeformAttnParams, deform_attn
+from .oracles import dense_attention
 
 DEFAULT_SIDES = (16, 32, 64, 128)  # H = W; H*W in {256, 1024, 4096, 16384}
 
@@ -68,18 +69,9 @@ def dense_cross_attention_grid(
     block: int = 1024,
 ) -> np.ndarray:
     """Vanilla dense cross-attention over all pixel pairs (the O(H^2 W^2 C)
-    comparator), row-blocked to bound memory."""
-    q = z @ wq.T
-    k = kv @ wk.T
-    v = kv @ wv.T
-    d = q.shape[1]
-    out = np.empty_like(v, shape=(q.shape[0], v.shape[1]))
-    scale = 1.0 / math.sqrt(d)
-    for i0 in range(0, q.shape[0], block):
-        logits = q[i0 : i0 + block] @ k.T * scale
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        out[i0 : i0 + block] = (e / e.sum(axis=1, keepdims=True)) @ v
-    return out
+    comparator): the reference attention, row-blocked to bound memory."""
+    q, k, v = z @ wq.T, kv @ wk.T, kv @ wv.T
+    return np.concatenate([dense_attention(q[i0 : i0 + block], k, v) for i0 in range(0, len(q), block)])
 
 
 def _deform_reps(hw: int) -> int:

@@ -4,8 +4,9 @@ Each radar point writes its feature not just to its own BEV pixel but to every
 pixel strictly closer than a radius proportional to (range in pixels)^2 times
 the normalized RCS, with summation pooling on collisions. A Gaussian weight
 map built per point over the same support (max-combined across points) is
-concatenated and mixed by a per-pixel MLP; a residual conv/bn/relu stack then
-produces the radar BEV feature.
+concatenated and mixed by a per-pixel MLP; a residual conv/bn/relu (CBR) stack
+then produces the radar BEV feature. The same stack, bev_encode, fuses the
+aligned camera and radar grids in fusion.
 
 Coverage is decided once per call, in a footprint table of (point, pixel, d2)
 entries ordered by point that the scatter and the Gaussian map both read. Sums
@@ -252,15 +253,25 @@ def cbr_residual(x: np.ndarray, p: CbrBlockParams) -> np.ndarray:
     return relu(batch_norm_2d(conv3x3(x, p.conv_w, p.conv_b), p.bn)) + project_1x1(x, p.proj)
 
 
-def bev_encode(f_rcs_prime: BevGrid, base: BevGrid, blocks: Sequence[CbrBlockParams]) -> BevGrid:
-    """Channel-concat the mixed feature with the single-pixel scatter and run
-    the residual conv3x3 + batch-norm + ReLU stack; zero blocks = raw concat."""
-    if f_rcs_prime.spec != base.spec:
-        raise ShapeError("encoder inputs have different grid specs")
-    x = np.concatenate([f_rcs_prime.data, base.data], axis=0)
+def cbr_stack_schema(
+    src: TensorSource, prefixes: Sequence[str], c_in: int, c_out: int, eps: float
+) -> tuple[CbrBlockParams, ...]:
+    """One residual CBR block per prefix: the first maps c_in to c_out (a 1x1
+    skip projection when they differ), the rest keep c_out."""
+    return tuple(cbr_schema(src, prefix, c_out if k else c_in, c_out, eps) for k, prefix in enumerate(prefixes))
+
+
+def bev_encode(a: BevGrid, b: BevGrid, blocks: Sequence[CbrBlockParams]) -> BevGrid:
+    """The residual CBR stack: channel-concat two grids and run the residual
+    conv3x3 + batch-norm + ReLU blocks; zero blocks = raw concat. The radar
+    encoder runs it on (mixed feature, single-pixel scatter), the fuser on
+    (aligned camera, aligned radar)."""
+    if a.spec != b.spec:
+        raise ShapeError("CBR stack inputs have different grid specs")
+    x = np.concatenate([a.data, b.data], axis=0)
     for block in blocks:
         x = cbr_residual(x, block)
-    return BevGrid(x, f_rcs_prime.spec)
+    return BevGrid(x, a.spec)
 
 
 def encoder_schema(
@@ -279,12 +290,8 @@ def encoder_schema(
         MlpLayer(*linear_schema(src, f"bev.rcs_mlp.layer{j}", cout, cin), relu=j < len(dims) - 2)
         for j, (cin, cout) in enumerate(zip(dims, dims[1:]))
     )
-    blocks = []
-    cin = rcs_out + point_channels
-    for k in range(enc_blocks):
-        blocks.append(cbr_schema(src, f"bev.enc.block{k}", cin, enc_channels, eps))
-        cin = enc_channels
-    return MlpParams(layers), tuple(blocks)
+    prefixes = [f"bev.enc.block{k}" for k in range(enc_blocks)]
+    return MlpParams(layers), cbr_stack_schema(src, prefixes, rcs_out + point_channels, enc_channels, eps)
 
 
 # ---------------------------------------------------------------------------

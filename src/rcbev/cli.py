@@ -21,7 +21,6 @@ from .errors import PipelineError, RcbevError
 from .ingest import save_point_cloud, save_point_cloud_binary, synth_scene
 from .pipeline import (
     RunReport,
-    _StageRunner,
     dump_intermediates,
     fusion_branch,
     gen_camera_bev,
@@ -77,11 +76,10 @@ def cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     out_path = _require_out(args)
     report = RunReport()
-    runner = _StageRunner(report)
-    radar = runner.run("load-radar", lambda: load_grid(args.radar_grid))
-    camera = runner.run("load-camera", lambda: load_grid(args.camera_grid))
-    params = runner.run("weights", lambda: load_model(cfg))
-    _, _, fused = fusion_branch(camera, radar, params.fusion, runner)
+    radar = report.run("load-radar", lambda: load_grid(args.radar_grid))
+    camera = report.run("load-camera", lambda: load_grid(args.camera_grid))
+    params = report.run("weights", lambda: load_model(cfg))
+    _, _, fused = fusion_branch(camera, radar, params.fusion, report)
     save_grid(fused, out_path)
     print(report.to_text())
     print(f"wrote fused grid to {out_path}")
@@ -92,8 +90,7 @@ def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     out_path = _require_out(args)
     report = RunReport()
-    runner = _StageRunner(report)
-    cloud = runner.run("synth", lambda: synth_scene(cfg.scene, cfg.seed))
+    cloud = report.run("synth", lambda: synth_scene(cfg.scene, cfg.seed))
 
     def write():
         if out_path.suffix == ".bin":
@@ -101,7 +98,7 @@ def cmd_synth(args) -> int:
         else:
             save_point_cloud(cloud, out_path)
 
-    runner.run("write", write)
+    report.run("write", write)
     print(f"wrote {len(cloud)} points to {out_path}")
     return 0
 
@@ -109,9 +106,7 @@ def cmd_synth(args) -> int:
 def cmd_gen_cam(args) -> int:
     cfg = _load_cfg(args)
     out_path = _require_out(args)
-    report = RunReport()
-    runner = _StageRunner(report)
-    grid = runner.run(
+    grid = RunReport().run(
         "gen-cam", lambda: gen_camera_bev(cfg.bev, cfg.cam_channels, cfg.seed, cfg.cam_modes)
     )
     save_grid(grid, out_path)
@@ -180,7 +175,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RcbevError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, get_type_hints
 from .backbone import BackboneArch, BackboneParams, backbone_schema
 from .bev import BevSpec, CbrBlockParams, ScatterConfig, encoder_schema
 from .errors import ConfigError, require_finite
-from .fusion import AlignParams, FuseParams, fusion_schema
+from .fusion import AlignParams, fusion_schema
 from .ingest import DEFAULT_RCS_BOUNDS, ClusterSpec, SceneConfig
 from .nn import MlpParams
 from .weights import TensorSource, TensorSpec, record_tensors
@@ -104,7 +104,7 @@ class ModelParams:
 
     backbone: BackboneParams
     encoder: tuple[MlpParams, tuple[CbrBlockParams, ...]]  # (rcs mlp, conv blocks)
-    fusion: tuple[AlignParams, FuseParams]
+    fusion: tuple[AlignParams, tuple[CbrBlockParams, ...]]  # (align, fuse blocks)
 
 
 def model_schema(src: TensorSource, cfg: PipelineConfig) -> ModelParams:
@@ -260,4 +260,9 @@ def config_from_kv(kv: dict[str, str]) -> PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    return config_from_kv(parse_kv_text(Path(path).read_text()))
+    """Read a UTF-8 key = value config file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    return config_from_kv(parse_kv_text(text))

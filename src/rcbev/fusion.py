@@ -4,8 +4,8 @@ Camera and radar BEV features are first aligned bidirectionally: each modality
 forms one query per pixel and samples the other modality at K learned
 fractional offsets per head (bilinear, zero-padded), weighted by per-head
 softmax attention. Both updates are residual and computed from the pre-update
-inputs. The aligned features are then concatenated and fused by residual
-conv3x3 + batch-norm + ReLU blocks.
+inputs. The aligned features are then fused by the radar encoder's residual
+conv3x3 + batch-norm + ReLU stack, bev.bev_encode.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bev import BevGrid, CbrBlockParams, cbr_residual, cbr_schema
+from .bev import BevGrid, CbrBlockParams, bev_encode, cbr_stack_schema
 from .errors import ConfigError, ShapeError
 from .nn import as_f64, contract, softmax
 from .weights import TensorSource, INIT_GLOROT, INIT_ZEROS, linear_schema
@@ -60,12 +60,6 @@ class AlignParams:
     c2r: DeformAttnParams  # camera queries update the radar feature
 
 
-@dataclass(frozen=True)
-class FuseParams:
-    res: CbrBlockParams
-    blocks: tuple[CbrBlockParams, ...]
-
-
 def add_pos_embed(f: BevGrid, e: np.ndarray) -> BevGrid:
     e = as_f64(e)
     if e.shape != f.data.shape:
@@ -101,15 +95,20 @@ def _sample_pool(flat: np.ndarray, h: int, w: int, uv: np.ndarray, attn: np.ndar
     return acc
 
 
-def deform_attn_weights(queries: np.ndarray, p: DeformAttnParams) -> np.ndarray:
-    """Per-query attention weights (H*W x M x K), softmaxed over K per head."""
-    queries = as_f64(queries)
+def _query_rows(queries: np.ndarray, p: DeformAttnParams) -> tuple[np.ndarray, np.ndarray]:
+    """The query rows (H*W x C, through the adapter when there is one) and
+    their attention weights (H*W x M x K), softmaxed over K per head."""
     cq, h, w = queries.shape
     z = np.ascontiguousarray(queries.reshape(cq, h * w).T)
     if p.adapt is not None:
         z = contract(z, p.adapt[0]) + p.adapt[1]
     logits = (contract(z, p.w_att) + p.b_att).reshape(h * w, p.m, p.k)
-    return softmax(logits, axis=2)
+    return z, softmax(logits, axis=2)
+
+
+def deform_attn_weights(queries: np.ndarray, p: DeformAttnParams) -> np.ndarray:
+    """Per-query attention weights (H*W x M x K), softmaxed over K per head."""
+    return _query_rows(as_f64(queries), p)[1]
 
 
 def deform_attn(
@@ -133,10 +132,7 @@ def deform_attn(
     cq, h, w = queries.shape
     cv = values.shape[0]
     n = h * w
-    z = np.ascontiguousarray(queries.reshape(cq, n).T)
-    if p.adapt is not None:
-        z = contract(z, p.adapt[0]) + p.adapt[1]
-    elif cq != cv:
+    if p.adapt is None and cq != cv:
         raise ShapeError(f"query width {cq} != value width {cv} and no adapter configured")
     ref = pixel_centers(h, w) if ref_points is None else as_f64(ref_points)
     if ref.shape != (n, 2):
@@ -149,7 +145,7 @@ def deform_attn(
         ).reshape(n, -1)
         for m in range(p.m)
     ]
-    attn = deform_attn_weights(queries, p)
+    z, attn = _query_rows(queries, p)
     out = np.zeros((n, cv))
     block = 2048
     for s in range(0, n, block):
@@ -179,16 +175,9 @@ def cross_align(f_c: BevGrid, f_r: BevGrid, p: AlignParams) -> tuple[BevGrid, Be
     )
 
 
-def channel_spatial_fuse(f_c: BevGrid, f_r: BevGrid, p: FuseParams) -> BevGrid:
-    """Concat aligned features, one residual CBR block (1x1-projected skip when
-    channels change), then the trailing residual CBR blocks."""
-    if f_c.spec != f_r.spec:
-        raise ShapeError("fusion inputs have different grid specs")
-    x = np.concatenate([f_c.data, f_r.data], axis=0)
-    y = cbr_residual(x, p.res)
-    for block in p.blocks:
-        y = cbr_residual(y, block)
-    return BevGrid(y, f_c.spec)
+# channel_spatial_fuse(aligned_cam, aligned_rad, blocks) is the encoder's CBR
+# stack; the second name only lets perfbench/spans.py time the fuse call apart
+channel_spatial_fuse = bev_encode
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +210,14 @@ def fusion_schema(
     c_fused: int,
     fuse_blocks: int,
     eps: float,
-) -> tuple[AlignParams, FuseParams]:
-    """Ask ``src`` for the alignment and fusion tensors; returns (align, fuse)."""
+) -> tuple[AlignParams, tuple[CbrBlockParams, ...]]:
+    """Ask ``src`` for the alignment and fusion tensors; returns (align, fuse
+    blocks), where fuse.res maps the concat width to c_fused."""
     align = AlignParams(
         pos_cam=src.require("align.pos.cam", (c_cam, h, w), INIT_ZEROS),
         pos_rad=src.require("align.pos.rad", (c_rad, h, w), INIT_ZEROS),
         r2c=_deform_schema(src, "align.r2c", c_rad, c_cam, m, k),
         c2r=_deform_schema(src, "align.c2r", c_cam, c_rad, m, k),
     )
-    res = cbr_schema(src, "fuse.res", c_cam + c_rad, c_fused, eps)
-    blocks = tuple(cbr_schema(src, f"fuse.cbr{i}", c_fused, c_fused, eps) for i in range(fuse_blocks))
-    return align, FuseParams(res, blocks)
+    prefixes = ["fuse.res"] + [f"fuse.cbr{i}" for i in range(fuse_blocks)]
+    return align, cbr_stack_schema(src, prefixes, c_cam + c_rad, c_fused, eps)

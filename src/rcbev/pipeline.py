@@ -17,6 +17,7 @@ from .backbone import BackboneResult, dual_backbone_forward
 from .bev import (
     BevGrid,
     BevSpec,
+    CbrBlockParams,
     bev_encode,
     gaussian_bev_map,
     rcs_bev_feature,
@@ -26,7 +27,7 @@ from .bev import (
 )
 from .config import ModelParams, PipelineConfig, model_schema, model_tensors
 from .errors import PipelineError, ShapeError
-from .fusion import AlignParams, FuseParams, channel_spatial_fuse, cross_align
+from .fusion import AlignParams, channel_spatial_fuse, cross_align
 from .ingest import (
     PointCloud,
     PointFeatureSet,
@@ -70,6 +71,19 @@ class RunReport:
     stages: list[StageReport] = field(default_factory=list)
     grids: list[GridStats] = field(default_factory=list)
 
+    def run(self, name: str, fn: Callable, out_array=None):
+        """fn() as stage ``name``: its time and the checksum of its output
+        array are recorded, and a failure is raised as a PipelineError."""
+        t0 = time.perf_counter()
+        try:
+            result = fn()
+        except Exception as exc:
+            raise PipelineError(name, exc) from exc
+        ms = (time.perf_counter() - t0) * 1e3
+        arr = out_array(result) if out_array else _default_array(result)
+        self.stages.append(StageReport(name, ms, checksum(arr) if arr is not None else ""))
+        return result
+
     def to_text(self) -> str:
         lines = ["stage            ms        checksum"]
         for s in self.stages:
@@ -104,22 +118,6 @@ def grid_stats(name: str, grid: BevGrid) -> GridStats:
         ch_max=[float(v) for v in data.max(axis=(1, 2))],
         ch_mean=[float(v) for v in data.mean(axis=(1, 2))],
     )
-
-
-class _StageRunner:
-    def __init__(self, report: RunReport):
-        self.report = report
-
-    def run(self, name: str, fn: Callable, out_array=None):
-        t0 = time.perf_counter()
-        try:
-            result = fn()
-        except Exception as exc:
-            raise PipelineError(name, exc) from exc
-        ms = (time.perf_counter() - t0) * 1e3
-        arr = out_array(result) if out_array else _default_array(result)
-        self.report.stages.append(StageReport(name, ms, checksum(arr) if arr is not None else ""))
-        return result
 
 
 def _default_array(result):
@@ -167,7 +165,7 @@ def gen_camera_bev(spec: BevSpec, c_c: int, seed: int, modes: int = 6) -> BevGri
 
 
 def radar_branch(
-    cfg: PipelineConfig, cloud: PointCloud, params: ModelParams, runner: _StageRunner
+    cfg: PipelineConfig, cloud: PointCloud, params: ModelParams, report: RunReport
 ) -> tuple[BevGrid, BevGrid, BevGrid, BevGrid, Optional[BackboneResult]]:
     """Point features -> dual backbone -> RCS scatter -> BEV encoder."""
     rcs_mlp, enc_blocks = params.encoder
@@ -176,18 +174,18 @@ def radar_branch(
         inside = filter_roi(cloud, cfg.bev)
         return assemble_features(inside, cfg.bev, cfg.rcs_bounds)
 
-    feats = runner.run("ingest", ingest, out_array=lambda f: f.features)
+    feats = report.run("ingest", ingest, out_array=lambda f: f.features)
 
     backbone = None
     if len(feats):
-        backbone = runner.run(
+        backbone = report.run(
             "backbone",
             lambda: dual_backbone_forward(feats, params.backbone),
             out_array=lambda r: r.fused,
         )
         point_feats = PointFeatureSet(backbone.fused, feats.coords, feats.rcs_norm)
     else:
-        runner.report.stages.append(StageReport("backbone", 0.0, ""))
+        report.stages.append(StageReport("backbone", 0.0, ""))
         point_feats = PointFeatureSet(
             np.zeros((0, cfg.point_channels)), feats.coords, feats.rcs_norm
         )
@@ -199,9 +197,9 @@ def radar_branch(
         g_rcs = gaussian_bev_map(uv, point_feats.rcs_norm, cfg.bev, cfg.scatter)
         return f_rcs, base, g_rcs
 
-    f_rcs, base, g_rcs = runner.run("scatter", scatter, out_array=lambda t: t[0].data)
+    f_rcs, base, g_rcs = report.run("scatter", scatter, out_array=lambda t: t[0].data)
 
-    radar_bev = runner.run(
+    radar_bev = report.run(
         "bev_encode",
         lambda: bev_encode(rcs_bev_feature(f_rcs, g_rcs, rcs_mlp), base, enc_blocks),
     )
@@ -214,14 +212,17 @@ def radar_branch(
 
 
 def fusion_branch(
-    cam: BevGrid, radar_bev: BevGrid, params: tuple[AlignParams, FuseParams], runner: _StageRunner
+    cam: BevGrid,
+    radar_bev: BevGrid,
+    params: tuple[AlignParams, tuple[CbrBlockParams, ...]],
+    report: RunReport,
 ) -> tuple[BevGrid, BevGrid, BevGrid]:
     """The align and fuse stages: (aligned camera, aligned radar, fused)."""
     align_p, fuse_p = params
-    aligned_cam, aligned_rad = runner.run(
+    aligned_cam, aligned_rad = report.run(
         "align", lambda: cross_align(cam, radar_bev, align_p), out_array=lambda t: t[0].data
     )
-    fused = runner.run("fuse", lambda: channel_spatial_fuse(aligned_cam, aligned_rad, fuse_p))
+    fused = report.run("fuse", lambda: channel_spatial_fuse(aligned_cam, aligned_rad, fuse_p))
     return aligned_cam, aligned_rad, fused
 
 
@@ -232,9 +233,8 @@ def run_pipeline(
     radar_path: Optional[str] = None,
 ) -> tuple[FusionOutput, RunReport]:
     report = RunReport()
-    runner = _StageRunner(report)
 
-    params = runner.run("weights", lambda: load_model(cfg))
+    params = report.run("weights", lambda: load_model(cfg))
 
     def get_cloud() -> PointCloud:
         if cloud is not None:
@@ -246,23 +246,23 @@ def run_pipeline(
             return load_point_cloud(p)
         return synth_scene(cfg.scene, cfg.seed)
 
-    in_cloud = runner.run("load", get_cloud)
+    in_cloud = report.run("load", get_cloud)
 
-    radar_bev, f_rcs, base, g_rcs, backbone = radar_branch(cfg, in_cloud, params, runner)
+    radar_bev, f_rcs, base, g_rcs, backbone = radar_branch(cfg, in_cloud, params, report)
 
     def get_camera() -> BevGrid:
         if camera is not None:
             return camera
         return gen_camera_bev(cfg.bev, cfg.cam_channels, cfg.seed, cfg.cam_modes)
 
-    cam = runner.run("camera", get_camera)
+    cam = report.run("camera", get_camera)
     if cam.channels != cfg.cam_channels:
         raise PipelineError(
             "camera",
             ShapeError(f"camera grid has {cam.channels} channels, configured {cfg.cam_channels}"),
         )
 
-    aligned_cam, aligned_rad, fused = fusion_branch(cam, radar_bev, params.fusion, runner)
+    aligned_cam, aligned_rad, fused = fusion_branch(cam, radar_bev, params.fusion, report)
 
     report.grids.append(grid_stats("f_rcs", f_rcs))
     report.grids.append(grid_stats("radar_bev", radar_bev))

@@ -38,7 +38,7 @@ from .bev import (
     to_pixel,
 )
 from .config import PipelineConfig, model_tensors
-from .fusion import AlignParams, DeformAttnParams, FuseParams, channel_spatial_fuse, cross_align, deform_attn
+from .fusion import AlignParams, DeformAttnParams, channel_spatial_fuse, cross_align, deform_attn
 from .ingest import ClusterSpec, PointFeatureSet, SceneConfig
 from .nn import (
     MlpLayer,
@@ -415,7 +415,7 @@ def check_fuse_residual() -> tuple[float, str]:
     def zero_cbr(cin: int) -> CbrBlockParams:
         return CbrBlockParams(np.zeros((cin, cin, 3, 3)), np.zeros(cin), identity_norm(cin, batch=True))
 
-    params = FuseParams(zero_cbr(2 * c), (zero_cbr(2 * c), zero_cbr(2 * c), zero_cbr(2 * c)))
+    params = (zero_cbr(2 * c), zero_cbr(2 * c), zero_cbr(2 * c), zero_cbr(2 * c))
     fused = channel_spatial_fuse(f_c, f_r, params)
     ref = np.concatenate([f_c.data, f_r.data], axis=0)
     return (0.0 if np.array_equal(fused.data, ref) else _maxabs(fused.data, ref)), "zero kernels = pure residual"

@@ -203,7 +203,10 @@ def load_weights(manifest_path: str | Path) -> WeightSet:
     records = manifest.get("tensors", [])
     if not isinstance(records, list):
         raise FormatError("weight manifest 'tensors' must be a list")
-    payload = (manifest_path.parent / payload_name).read_bytes()
+    try:
+        payload = (manifest_path.parent / payload_name).read_bytes()
+    except OSError as exc:  # missing, a directory, or a name too long for the file system
+        raise FormatError(f"weight payload {payload_name!r} cannot be read: {exc.strerror}") from exc
     ws = WeightSet(seed=manifest.get("seed"))
     expected_offset = 0
     for rec in records:

@@ -149,6 +149,13 @@ def test_unknown_key_named(key):
         config_from_kv(kv)
 
 
+def test_non_utf8_config_raises_config_error_naming_the_path(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_bytes(b"pipeline.seed = 3\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        load_config(path)
+
+
 def test_readme_example_loads(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from rcbev import oracles
-from rcbev.bev import BevGrid, BevSpec, CbrBlockParams, cbr_residual
+from rcbev.bev import BevGrid, BevSpec, CbrBlockParams, bev_encode, cbr_residual, encoder_schema
 from rcbev.errors import ConfigError, ShapeError
 from rcbev.fusion import (
     AlignParams,
     DeformAttnParams,
-    FuseParams,
     add_pos_embed,
     channel_spatial_fuse,
     cross_align,
@@ -227,6 +226,9 @@ class TestCrossAlign:
 
 
 class TestCbrAndFuse:
+    def test_fuser_is_the_encoder_stack(self):
+        assert channel_spatial_fuse is bev_encode
+
     def test_cbr_identity_on_nonnegative(self):
         c = 3
         k = np.zeros((c, c, 3, 3))
@@ -276,7 +278,7 @@ class TestCbrAndFuse:
         def zero_cbr(cin):
             return CbrBlockParams(np.zeros((cin, cin, 3, 3)), np.zeros(cin), identity_norm(cin, batch=True))
 
-        params = FuseParams(zero_cbr(2 * c), (zero_cbr(2 * c),))
+        params = (zero_cbr(2 * c), zero_cbr(2 * c))
         fused = channel_spatial_fuse(f_c, f_r, params)
         assert fused.data.shape == (2 * c, h, w)
 
@@ -289,7 +291,7 @@ class TestCbrAndFuse:
         def zero_cbr(cin):
             return CbrBlockParams(np.zeros((cin, cin, 3, 3)), np.zeros(cin), identity_norm(cin, batch=True))
 
-        params = FuseParams(zero_cbr(2 * c), tuple(zero_cbr(2 * c) for _ in range(3)))
+        params = tuple(zero_cbr(2 * c) for _ in range(4))
         fused = channel_spatial_fuse(f_c, f_r, params)
         assert np.array_equal(fused.data, np.concatenate([f_c.data, f_r.data], axis=0))
 
@@ -312,11 +314,11 @@ class TestCbrAndFuse:
                 proj=(rng.standard_normal((co, ci)), rng.standard_normal(co)) if ci != co else None,
             )
 
-        params = FuseParams(rand_cbr(c_in, c_out), (rand_cbr(c_out, c_out), rand_cbr(c_out, c_out)))
+        params = (rand_cbr(c_in, c_out), rand_cbr(c_out, c_out), rand_cbr(c_out, c_out))
         fused = channel_spatial_fuse(f_c, f_r, params)
 
         x = np.concatenate([f_c.data, f_r.data], axis=0)
-        for blk in (params.res,) + params.blocks:
+        for blk in params:
             conv = oracles.loop_conv3x3(x, blk.conv_w, blk.conv_b)
             bn = (conv - blk.bn.mean[:, None, None]) / np.sqrt(blk.bn.var[:, None, None] + 1e-5) * blk.bn.scale[
                 :, None, None
@@ -327,6 +329,13 @@ class TestCbrAndFuse:
         assert np.abs(fused.data - x).max() < 1e-9
 
 
+# the three-block CBR stack of each schema, as a function of (src, c_in, c_out)
+CBR_STACKS = {
+    "encoder": lambda src, c_in, c_out: encoder_schema(src, 2, (3,), c_in - 2, 3, c_out, 1e-5)[1],
+    "fuser": lambda src, c_in, c_out: fusion_schema(src, c_in - 2, 2, 4, 4, 1, 2, c_out, 2, 1e-5)[1],
+}
+
+
 class TestParamBuilders:
     def test_tensor_specs_and_builders_roundtrip(self):
         c_cam, c_rad, h, w, m, k = 4, 2, 6, 6, 2, 3
@@ -335,12 +344,21 @@ class TestParamBuilders:
         align, fuse = fusion_schema(ws, *dims)
         assert align.r2c.adapt is not None  # c_rad != c_cam needs mapping
         assert align.r2c.w_val.shape == (m, c_cam // m, c_cam)
-        assert len(fuse.blocks) == 2
-        assert fuse.res.proj is not None  # concat 6 -> fused 8 needs a 1x1 skip
+        assert len(fuse) == 1 + 2  # fuse.res, then fuse_blocks=2
+        assert fuse[0].proj is not None  # concat 6 -> fused 8 needs a 1x1 skip
         # concat width equal to fused width means the residual proj is absent
         dims2 = (3, 3, h, w, 1, 2, 6, 1, 1e-5)
         _, fuse2 = fusion_schema(init_weights(record_tensors(fusion_schema, *dims2), 0), *dims2)
-        assert fuse2.res.proj is None
+        assert fuse2[0].proj is None
+
+    @pytest.mark.parametrize("stack", sorted(CBR_STACKS))
+    @pytest.mark.parametrize("c_in, c_out", [(6, 4), (4, 4)])
+    def test_cbr_stack_projects_first_block_only_when_widths_change(self, stack, c_in, c_out):
+        schema = CBR_STACKS[stack]
+        blocks = schema(init_weights(record_tensors(schema, c_in, c_out), 0), c_in, c_out)
+        assert [b.conv_w.shape[:2] for b in blocks] == [(c_out, c_in), (c_out, c_out), (c_out, c_out)]
+        assert (blocks[0].proj is not None) == (c_in != c_out)
+        assert all(b.proj is None for b in blocks[1:])
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):

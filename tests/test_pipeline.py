@@ -415,6 +415,29 @@ class TestCli:
         assert err.startswith("error:") and "seed" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(lambda d: ["synth", "--config", str(d), "--out", str(d / "x.csv")], id="synth-config-dir"),
+            pytest.param(
+                lambda d: ["synth", "--config", str(d / "bad.txt"), "--out", str(d / "x.csv")], id="synth-config-not-utf8"
+            ),
+            pytest.param(lambda d: ["gen-cam", "--config", str(d / "cfg.txt"), "--out", str(d)], id="gen-cam-out-dir"),
+            pytest.param(
+                lambda d: ["extract", str(d / "scene.csv"), "--config", str(d / "cfg.txt"), "--out", str(d)],
+                id="extract-out-dir",
+            ),
+        ],
+    )
+    def test_os_and_encoding_faults_exit_with_error_not_traceback(self, argv, tmp_path, capsys):
+        write_tiny_config(tmp_path / "cfg.txt")
+        (tmp_path / "bad.txt").write_bytes(b"pipeline.seed = 1\n\xff\n")
+        assert cli_main(["synth", "--config", str(tmp_path / "cfg.txt"), "--out", str(tmp_path / "scene.csv")]) == 0
+        capsys.readouterr()
+        assert cli_main(argv(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "command, flag",
         [
             ("fuse", "--dump-intermediates"),

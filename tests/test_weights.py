@@ -197,6 +197,7 @@ def one_tensor(shape, byte_length=16, payload="w.json.bin"):
         pytest.param([one_tensor([4])], bytes(16), id="top-level-list"),
         pytest.param(one_tensor([4], payload="../w.json.bin"), bytes(16), id="payload-parent-path"),
         pytest.param(one_tensor([4], payload="w.json\x00.bin"), bytes(16), id="payload-nul-byte"),
+        pytest.param(one_tensor([4], payload="p" * 300), bytes(16), id="payload-name-too-long"),
     ],
 )
 def test_malformed_manifest_rejected(tmp_path, manifest, payload):
