@@ -10,7 +10,6 @@ import os as _os
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .backbone import (
-    BackboneArch,
     BackboneResult,
     dmsa_head,
     dual_backbone_forward,

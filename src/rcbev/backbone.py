@@ -6,7 +6,8 @@ beta * squared BEV distance, so each head can shrink its receptive field to
 nearby points. The streams exchange information every stage through gated
 cross-attention (inject) and cross-attention + feed-forward (extract), and are
 merged by a final linear layer. Cross-attention is the DMSA per-head body
-without the distance term: both run through one multi-head path.
+without the distance term: both run through one multi-head path over one
+params type, MultiHeadDmsaParams. PipelineConfig holds and checks the sizes.
 
 Both attentions gather their keys in one canonical order (nn.key_order) and
 reduce them in that order; queries keep their input order and every query row
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, ShapeError
-from .ingest import PointFeatureSet
+from .ingest import CSV_COLUMNS, PointFeatureSet
 from .nn import (
     MlpLayer,
     MlpParams,
@@ -79,9 +80,7 @@ class MultiHeadDmsaParams:
 class CrossAttnParams:
     lnq: NormParams
     lnkv: NormParams
-    heads: tuple[AttnHeadParams, ...]
-    wo: np.ndarray
-    bo: np.ndarray
+    attn: MultiHeadDmsaParams  # heads without beta
 
 
 @dataclass(frozen=True)
@@ -122,44 +121,10 @@ class BackboneParams:
 
 
 @dataclass(frozen=True)
-class BackboneArch:
-    """Hyperparameters that fix every tensor shape of the backbone."""
-
-    in_channels: int = 7
-    widths: tuple[int, ...] = (32, 64, 64)
-    dmsa_heads: int = 4
-    cross_heads: int = 1
-    ffn_mult: int = 2
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        if not self.widths:
-            raise ConfigError("backbone needs at least one stage")
-        if self.in_channels <= 0 or self.dmsa_heads <= 0 or self.cross_heads <= 0:
-            raise ConfigError(
-                f"backbone dims must be positive, got in_channels {self.in_channels}, "
-                f"dmsa_heads {self.dmsa_heads}, cross_heads {self.cross_heads}"
-            )
-        for w in self.widths:
-            if w <= 0 or w % 2:
-                raise ConfigError(f"stage width {w} must be positive and even")
-            if w % self.dmsa_heads:
-                raise ConfigError(f"width {w} not divisible by {self.dmsa_heads} heads")
-            if w % self.cross_heads:
-                raise ConfigError(f"width {w} not divisible by {self.cross_heads} cross heads")
-
-    @property
-    def out_channels(self) -> int:
-        return self.widths[-1]
-
-
-@dataclass(frozen=True)
 class BackboneResult:
     f_p: np.ndarray
     f_t: np.ndarray
     fused: np.ndarray
-    inject_calls: int
-    extract_calls: int
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +185,13 @@ def dmsa_head(
     return attend(dmsa_weights(q, k, d2, beta), v)
 
 
-def _multi_head(xq: np.ndarray, xkv: np.ndarray, p, d2: Optional[np.ndarray] = None) -> np.ndarray:
-    """The heads of p (MultiHeadDmsaParams or CrossAttnParams), one dmsa_head
-    each over its projections of the queries xq and the keys/values xkv (rows
-    in key order), concatenated and projected by (p.wo, p.bo)."""
+def _multi_head(
+    xq: np.ndarray, xkv: np.ndarray, p: MultiHeadDmsaParams, d2: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The heads of p, one dmsa_head each over its projections of the queries
+    xq and the keys/values xkv (rows in key order), concatenated and projected
+    by (p.wo, p.bo). DMSA passes the distance columns d2; cross-attention
+    passes none."""
     outs = [
         dmsa_head(contract(xq, h.wq), contract(xkv, h.wk), contract(xkv, h.wv), d2, h.beta) for h in p.heads
     ]
@@ -255,7 +223,7 @@ def cross_attention(q_in: np.ndarray, kv_in: np.ndarray, p: CrossAttnParams) -> 
     q_in, kv_in = as_f64(q_in), as_f64(kv_in)
     if q_in.shape != kv_in.shape:
         raise ShapeError(f"cross_attention operands differ: {q_in.shape} vs {kv_in.shape}")
-    return _multi_head(layer_norm(q_in, p.lnq), layer_norm(kv_in[key_order(kv_in)], p.lnkv), p)
+    return _multi_head(layer_norm(q_in, p.lnq), layer_norm(kv_in[key_order(kv_in)], p.lnkv), p.attn)
 
 
 def inject(f_p: np.ndarray, f_t: np.ndarray, p: InjectionParams) -> np.ndarray:
@@ -278,19 +246,15 @@ def dual_backbone_forward(feats: PointFeatureSet, params: BackboneParams) -> Bac
     f_p = as_f64(feats.features)
     f_t = f_p
     coords = as_f64(feats.coords)
-    inject_calls = 0
-    extract_calls = 0
     for st in params.stages:
         f_p = point_block(f_p, st.point_mlp)
         if st.tf_in is not None:
             f_t = linear(f_t, st.tf_in[0], st.tf_in[1])
         f_t = transformer_block(f_t, coords, st.tf)
         f_p = inject(f_p, f_t, st.inject)
-        inject_calls += 1
         f_t = extract(f_t, f_p, st.extract)
-        extract_calls += 1
     fused = linear(np.concatenate([f_p, f_t], axis=1), params.merge_w, params.merge_b)
-    return BackboneResult(f_p, f_t, fused, inject_calls, extract_calls)
+    return BackboneResult(f_p, f_t, fused)
 
 
 # ---------------------------------------------------------------------------
@@ -303,34 +267,23 @@ def _ln_schema(src: TensorSource, prefix: str, c: int, eps: float) -> NormParams
     )
 
 
-def _heads_schema(
-    src: TensorSource, prefix: str, c: int, heads: int, with_beta: bool
-) -> tuple[AttnHeadParams, ...]:
-    """Per-head projections; a self-attention head also has its distance
-    gate beta, clamped to >= 0."""
-    d = c // heads
-    return tuple(
-        AttnHeadParams(
-            src.require(f"{prefix}.head{h}.wq", (d, c), INIT_GLOROT),
-            src.require(f"{prefix}.head{h}.wk", (d, c), INIT_GLOROT),
-            src.require(f"{prefix}.head{h}.wv", (d, c), INIT_GLOROT),
-            beta=(
-                max(0.0, float(src.require(f"{prefix}.head{h}.beta", (1,), INIT_ONES)[0]))
-                if with_beta
-                else 0.0
-            ),
-        )
-        for h in range(heads)
-    )
+def _mha_schema(src: TensorSource, prefix: str, c: int, heads: int, with_beta: bool) -> MultiHeadDmsaParams:
+    """Per-head projections, then the output projection; a self-attention
+    head also has its distance gate beta, clamped to >= 0."""
+    hps = []
+    for h in range(heads):
+        wq, wk, wv = (src.require(f"{prefix}.head{h}.{w}", (c // heads, c), INIT_GLOROT) for w in ("wq", "wk", "wv"))
+        beta = max(0.0, float(src.require(f"{prefix}.head{h}.beta", (1,), INIT_ONES)[0])) if with_beta else 0.0
+        hps.append(AttnHeadParams(wq, wk, wv, beta))
+    wo, bo = src.require(f"{prefix}.wo", (c, c), INIT_GLOROT), src.require(f"{prefix}.bo", (c,), INIT_ZEROS)
+    return MultiHeadDmsaParams(tuple(hps), wo, bo)
 
 
 def _cross_schema(src: TensorSource, prefix: str, c: int, heads: int, eps: float) -> CrossAttnParams:
     return CrossAttnParams(
         _ln_schema(src, f"{prefix}.lnq", c, eps),
         _ln_schema(src, f"{prefix}.lnkv", c, eps),
-        _heads_schema(src, prefix, c, heads, with_beta=False),
-        src.require(f"{prefix}.wo", (c, c), INIT_GLOROT),
-        src.require(f"{prefix}.bo", (c,), INIT_ZEROS),
+        _mha_schema(src, prefix, c, heads, with_beta=False),
     )
 
 
@@ -344,36 +297,39 @@ def _ffn_schema(src: TensorSource, prefix: str, c: int, mult: int) -> MlpParams:
     )
 
 
-def backbone_schema(src: TensorSource, arch: BackboneArch) -> BackboneParams:
+def backbone_schema(
+    src: TensorSource,
+    widths: tuple[int, ...],
+    dmsa_heads: int,
+    cross_heads: int,
+    ffn_mult: int,
+    eps: float,
+) -> BackboneParams:
     """Ask ``src`` for every backbone tensor, in canonical order, and assemble
-    the stage parameters."""
+    the stage parameters. The first stage reads the assembled point rows, one
+    column per ingest.CSV_COLUMNS."""
     stages = []
-    prev = arch.in_channels
-    for i, width in enumerate(arch.widths, start=1):
+    prev = len(CSV_COLUMNS)
+    for i, width in enumerate(widths, start=1):
         half = width // 2
         sp = f"stage{i}"
         point = MlpParams((MlpLayer(*linear_schema(src, f"{sp}.point.layer0", half, prev), relu=True),))
         tf_in = linear_schema(src, f"{sp}.tf.in", width, prev) if prev != width else None
         tf = TransformerBlockParams(
-            _ln_schema(src, f"{sp}.tf.ln1", width, arch.eps),
-            MultiHeadDmsaParams(
-                _heads_schema(src, f"{sp}.tf.attn", width, arch.dmsa_heads, with_beta=True),
-                src.require(f"{sp}.tf.attn.wo", (width, width), INIT_GLOROT),
-                src.require(f"{sp}.tf.attn.bo", (width,), INIT_ZEROS),
-            ),
-            _ln_schema(src, f"{sp}.tf.ln2", width, arch.eps),
-            _ffn_schema(src, f"{sp}.tf.ffn", width, arch.ffn_mult),
+            _ln_schema(src, f"{sp}.tf.ln1", width, eps),
+            _mha_schema(src, f"{sp}.tf.attn", width, dmsa_heads, with_beta=True),
+            _ln_schema(src, f"{sp}.tf.ln2", width, eps),
+            _ffn_schema(src, f"{sp}.tf.ffn", width, ffn_mult),
         )
         inj = InjectionParams(
-            _cross_schema(src, f"{sp}.inject", width, arch.cross_heads, arch.eps),
+            _cross_schema(src, f"{sp}.inject", width, cross_heads, eps),
             src.require(f"{sp}.inject.gamma", (width,), INIT_ZEROS),
         )
         ext = ExtractionParams(
-            _cross_schema(src, f"{sp}.extract", width, arch.cross_heads, arch.eps),
-            _ln_schema(src, f"{sp}.extract.ffn_ln", width, arch.eps),
-            _ffn_schema(src, f"{sp}.extract.ffn", width, arch.ffn_mult),
+            _cross_schema(src, f"{sp}.extract", width, cross_heads, eps),
+            _ln_schema(src, f"{sp}.extract.ffn_ln", width, eps),
+            _ffn_schema(src, f"{sp}.extract.ffn", width, ffn_mult),
         )
         stages.append(StageParams(point, tf_in, tf, inj, ext))
         prev = width
-    out = arch.out_channels
-    return BackboneParams(tuple(stages), *linear_schema(src, "merge", out, 2 * out))
+    return BackboneParams(tuple(stages), *linear_schema(src, "merge", prev, 2 * prev))

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ConfigError, DataError, FormatError, ShapeError, require_finite, require_finite_fields, require_inside,
+    ConfigError, DataError, FormatError, ShapeError, read_file, require_finite, require_finite_fields, require_inside,
 )
 from .ingest import PointFeatureSet
 from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3, mlp, relu
@@ -311,7 +311,7 @@ def save_grid(grid: BevGrid, path: str | Path) -> None:
 
 
 def load_grid(path: str | Path) -> BevGrid:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     head_len = 4 + struct.calcsize("<IIII5d")
     if len(raw) < head_len:
         raise FormatError(f"{path}: truncated grid file")

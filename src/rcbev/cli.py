@@ -54,10 +54,18 @@ def _load_cfg(args) -> PipelineConfig:
     return cfg
 
 
+def _check_out(out: str) -> Path:
+    """The output path; a directory or a missing parent is rejected before any work."""
+    path = Path(out)
+    if path.is_dir() or not path.parent.is_dir():
+        raise RcbevError(f"--out {out}: not a file in an existing directory")
+    return path
+
+
 def _require_out(args) -> Path:
     if not args.out:
         raise RcbevError("missing required --out path")
-    return Path(args.out)
+    return _check_out(args.out)
 
 
 def cmd_extract(args) -> int:
@@ -121,10 +129,12 @@ def cmd_selfcheck(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = run_bench(seed=_load_cfg(args).seed)
+    seed = _load_cfg(args).seed
+    out_path = args.out and _check_out(args.out)
+    report = run_bench(seed=seed)
     print(report.to_text())
-    if args.out:
-        Path(args.out).write_text(report.to_csv())
+    if out_path:
+        out_path.write_text(report.to_csv())
         print(f"wrote CSV to {args.out}")
     return 0
 

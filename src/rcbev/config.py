@@ -13,9 +13,9 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, get_type_hints
 
-from .backbone import BackboneArch, BackboneParams, backbone_schema
+from .backbone import BackboneParams, backbone_schema
 from .bev import BevSpec, CbrBlockParams, ScatterConfig, encoder_schema
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, read_file, require_finite
 from .fusion import AlignParams, fusion_schema
 from .ingest import DEFAULT_RCS_BOUNDS, ClusterSpec, SceneConfig
 from .nn import MlpParams
@@ -68,8 +68,11 @@ class PipelineConfig:
             "deform_points": self.deform_points,
             "cam_modes": self.cam_modes,
             "ffn_mult": self.ffn_mult,
+            "dmsa_heads": self.dmsa_heads,
+            "cross_heads": self.cross_heads,
         }
         sizes.update({f"rcs_hidden[{i}]": h for i, h in enumerate(self.rcs_hidden)})
+        sizes.update({f"stage_widths[{i}]": w for i, w in enumerate(self.stage_widths)})
         bad = [f"{name} = {v}" for name, v in sizes.items() if v <= 0]
         if bad:
             raise ConfigError(f"sizes must be positive, got {', '.join(bad)}")
@@ -81,21 +84,17 @@ class PipelineConfig:
             raise ConfigError(f"rcs_bounds must satisfy lo < hi, got ({lo}, {hi})")
         if self.radar_channels % self.deform_heads or self.cam_channels % self.deform_heads:
             raise ConfigError("deform_heads must divide both radar and camera channels")
-        self.backbone_arch()  # raises ConfigError for a bad backbone shape
+        heads = f"dmsa_heads {self.dmsa_heads} and cross_heads {self.cross_heads}"
+        for w in self.stage_widths:
+            if w % 2 or w % self.dmsa_heads or w % self.cross_heads:
+                raise ConfigError(f"stage_widths {self.stage_widths}: {w} must be even and divisible by {heads}")
+        widest = max(self.cam_channels + self.radar_channels, self.fused_channels, self.rcs_out + self.point_channels)
+        if (n := self.bev.h * self.bev.w * widest) > 2**27:  # 1 GiB of float64 in the widest grid
+            raise ConfigError(f"bev {self.bev.h} x {self.bev.w} x {widest} channels is {n} values, above 2**27")
 
     @property
     def point_channels(self) -> int:
         return self.stage_widths[-1]
-
-    def backbone_arch(self) -> BackboneArch:
-        return BackboneArch(
-            in_channels=7,
-            widths=self.stage_widths,
-            dmsa_heads=self.dmsa_heads,
-            cross_heads=self.cross_heads,
-            ffn_mult=self.ffn_mult,
-            eps=self.eps,
-        )
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def model_schema(src: TensorSource, cfg: PipelineConfig) -> ModelParams:
     """Ask ``src`` for every learned tensor of the pipeline, in canonical
     order, and assemble the typed params."""
     return ModelParams(
-        backbone_schema(src, cfg.backbone_arch()),
+        backbone_schema(src, cfg.stage_widths, cfg.dmsa_heads, cfg.cross_heads, cfg.ffn_mult, cfg.eps),
         encoder_schema(
             src, cfg.point_channels, cfg.rcs_hidden, cfg.rcs_out, cfg.enc_blocks, cfg.radar_channels, cfg.eps
         ),
@@ -261,8 +260,4 @@ def config_from_kv(kv: dict[str, str]) -> PipelineConfig:
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a UTF-8 key = value config file."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    return config_from_kv(parse_kv_text(text))
+    return config_from_kv(parse_kv_text(read_file(path, ConfigError, text=True)))

@@ -6,6 +6,7 @@ violated caller contracts, and degenerate empty inputs.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +41,19 @@ class EmptyInputError(RcbevError, ValueError):
 
 class WeightLookupError(RcbevError, KeyError):
     """Requested tensor name is absent from the weight set."""
+
+
+def read_file(path: str | Path, error: type[RcbevError] = FormatError, text: bool = False) -> bytes | str:
+    """The bytes of the file ``path`` (its UTF-8 text with ``text``); a directory
+    or non-UTF-8 text raises ``error`` naming the path, a missing file FileNotFoundError."""
+    try:
+        raw = Path(path).read_bytes()
+    except IsADirectoryError:
+        raise error(f"{path}: is a directory, not a file") from None
+    try:
+        return raw.decode("utf-8") if text else raw
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def require_finite(**fields: float) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, ShapeError, require_finite_fields, require_inside
+from .errors import ConfigError, DataError, FormatError, ShapeError, read_file, require_finite_fields, require_inside
 
 CSV_COLUMNS = ("x", "y", "z", "rcs", "vx", "vy", "sweep_offset")  # also the columns of PointCloud.rows
 SORT_PRIORITY = (6, 0, 1, 2, 3, 4, 5)  # sweep_offset, x, y, z, rcs, vx, vy
@@ -83,11 +83,7 @@ _COMMENT_RE = re.compile(r"#\s*frame=(\S+)\s+compensated=(true|false)", re.IGNOR
 def load_point_cloud(path: str | Path) -> PointCloud:
     """Read the radar CSV format (UTF-8): optional '# frame=<id> compensated=<bool>'
     comment, header naming x,y,z,rcs,vx,vy,sweep_offset once each, one point per row."""
-    path = Path(path)
-    try:
-        lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = [ln for ln in read_file(path, text=True).splitlines() if ln.strip()]
     frame_id, compensated = "", True
     if lines and lines[0].lstrip().startswith("#"):
         m = _COMMENT_RE.search(lines[0])
@@ -133,7 +129,7 @@ def save_point_cloud(cloud: PointCloud, path: str | Path) -> None:
 
 def load_point_cloud_binary(path: str | Path) -> PointCloud:
     """Binary twin format: little-endian uint32 count, then 28-byte f32 rows."""
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if len(raw) < 4:
         raise FormatError(f"{path}: truncated binary radar file")
     (count,) = struct.unpack_from("<I", raw, 0)

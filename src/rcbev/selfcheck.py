@@ -267,11 +267,7 @@ def check_inject_identity() -> tuple[float, str]:
     c = 6
     f_p = rng.standard_normal((5, c))
     f_t = rng.standard_normal((5, c))
-    attn = CrossAttnParams(
-        identity_norm(c), identity_norm(c),
-        (AttnHeadParams(rng.standard_normal((c, c)), rng.standard_normal((c, c)), rng.standard_normal((c, c))),),
-        rng.standard_normal((c, c)), rng.standard_normal(c),
-    )
+    attn = CrossAttnParams(identity_norm(c), identity_norm(c), _small_heads(rng, c, 1))
     out = inject(f_p, f_t, InjectionParams(attn, np.zeros(c)))
     return (0.0 if np.array_equal(out, f_p) else _maxabs(out, f_p)), "gamma=0 is bit-identity"
 

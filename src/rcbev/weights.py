@@ -17,7 +17,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, WeightLookupError
+from .errors import ConfigError, DataError, FormatError, WeightLookupError, read_file
 
 FORMAT_VERSION = 1
 
@@ -187,8 +187,9 @@ def load_weights(manifest_path: str | Path) -> WeightSet:
     in the manifest's directory, every shape a non-empty list of positive
     integers, and the records must tile the payload in order."""
     manifest_path = Path(manifest_path)
+    text = read_file(manifest_path, text=True)
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(text)
     except ValueError as exc:
         raise FormatError(f"weight manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):

@@ -12,7 +12,6 @@ import numpy as np
 from rcbev import oracles
 from rcbev.backbone import (
     AttnHeadParams,
-    BackboneArch,
     MultiHeadDmsaParams,
     TransformerBlockParams,
     backbone_schema,
@@ -200,8 +199,10 @@ def test_criterion_6_identity_configurations():
     d = c
     cross = CrossAttnParams(
         identity_norm(c), identity_norm(c),
-        (AttnHeadParams(rng.standard_normal((d, c)), rng.standard_normal((d, c)), rng.standard_normal((d, c))),),
-        rng.standard_normal((c, c)), rng.standard_normal(c),
+        MultiHeadDmsaParams(
+            (AttnHeadParams(rng.standard_normal((d, c)), rng.standard_normal((d, c)), rng.standard_normal((d, c))),),
+            rng.standard_normal((c, c)), rng.standard_normal(c),
+        ),
     )
     f_p = rng.standard_normal((9, c))
     f_t = rng.standard_normal((9, c))
@@ -241,8 +242,8 @@ def test_criterion_6_identity_configurations():
 
 def test_criterion_7_permutation_equivariance():
     rng = np.random.default_rng(1007)
-    arch = BackboneArch(in_channels=7, widths=(8, 12), dmsa_heads=2)
-    w = init_weights(record_tensors(backbone_schema, arch), 17)
+    arch = ((8, 12), 2, 1, 2, 1e-5)  # widths, dmsa_heads, cross_heads, ffn_mult, eps
+    w = init_weights(record_tensors(backbone_schema, *arch), 17)
     # give the gates non-trivial values so the whole coupled path is exercised
     w.entries["stage1.inject.gamma"] = rng.standard_normal(8) * 0.5
     w.entries["stage2.inject.gamma"] = rng.standard_normal(12) * 0.5
@@ -250,7 +251,7 @@ def test_criterion_7_permutation_equivariance():
     feats = PointFeatureSet(
         rng.standard_normal((n, 7)), rng.uniform(-20, 20, size=(n, 2)), rng.uniform(0, 1, size=n)
     )
-    res = dual_backbone_forward(feats, backbone_schema(w, arch))
+    res = dual_backbone_forward(feats, backbone_schema(w, *arch))
 
     mlp_p = MlpParams((MlpLayer(rng.standard_normal((6, 7)), rng.standard_normal(6), True),))
     pb = point_block(feats.features, mlp_p)
@@ -271,7 +272,7 @@ def test_criterion_7_permutation_equivariance():
     for _ in range(5):
         perm = rng.permutation(n)
         shuffled = PointFeatureSet(feats.features[perm], feats.coords[perm], feats.rcs_norm[perm])
-        res_p = dual_backbone_forward(shuffled, backbone_schema(w, arch))
+        res_p = dual_backbone_forward(shuffled, backbone_schema(w, *arch))
         ok &= np.array_equal(res_p.fused, res.fused[perm])
         ok &= np.array_equal(res_p.f_p, res.f_p[perm])
         ok &= np.array_equal(res_p.f_t, res.f_t[perm])
@@ -280,21 +281,20 @@ def test_criterion_7_permutation_equivariance():
     report(7, "permutation equivariance is exact", ok)
 
 
-def test_criterion_8_structural_conformance():
+def test_criterion_8_structural_conformance(backbone_calls):
     cfg = PipelineConfig()
     out, _ = run_pipeline(cfg)
     ok = (
         len(cfg.stage_widths) == 3
         and out.backbone is not None
-        and out.backbone.inject_calls == 3
-        and out.backbone.extract_calls == 3
+        and backbone_calls == {"inject": 3, "extract": 3}
         and out.fused.data.shape == (cfg.fused_channels, 128, 128)
     )
     report(
         8,
         "default pipeline: 3 stages, 3 inject/extract, fused 128x128x128",
         ok,
-        f"injects={out.backbone.inject_calls}, shape={out.fused.data.shape}",
+        f"calls={backbone_calls}, shape={out.fused.data.shape}",
     )
 
 

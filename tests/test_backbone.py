@@ -7,7 +7,6 @@ import pytest
 from rcbev import oracles
 from rcbev.backbone import (
     AttnHeadParams,
-    BackboneArch,
     CrossAttnParams,
     ExtractionParams,
     InjectionParams,
@@ -25,6 +24,7 @@ from rcbev.backbone import (
     point_block,
     transformer_block,
 )
+from rcbev.config import PipelineConfig, load_config
 from rcbev.errors import ConfigError, EmptyInputError, ShapeError, WeightLookupError
 from rcbev.ingest import PointFeatureSet
 from rcbev.nn import MlpLayer, MlpParams, NormParams, contract, identity_norm, key_order, layer_norm, mlp
@@ -56,8 +56,8 @@ def random_cross(c, heads=1):
         for _ in range(heads)
     )
     return CrossAttnParams(
-        identity_norm(c), identity_norm(c), hp,
-        rng.standard_normal((c, c)), rng.standard_normal(c),
+        identity_norm(c), identity_norm(c),
+        MultiHeadDmsaParams(hp, rng.standard_normal((c, c)), rng.standard_normal(c)),
     )
 
 
@@ -239,6 +239,9 @@ class TestMultiHeadDmsa:
         heads = (AttnHeadParams(np.ones((3, 8)), np.ones((3, 8)), np.ones((3, 8))),)
         with pytest.raises(ConfigError):
             MultiHeadDmsaParams(heads, np.eye(8), np.zeros(8))
+        # cross-attention holds the same params type, so its heads are checked too
+        with pytest.raises(ConfigError):
+            CrossAttnParams(identity_norm(8), identity_norm(8), MultiHeadDmsaParams(heads, np.eye(8), np.zeros(8)))
 
 
 class TestTransformerBlock:
@@ -331,9 +334,9 @@ class TestInjectExtract:
         f_t = rng.standard_normal((7, c))
         qn = layer_norm(f_p, p.attn.lnq)
         kn = layer_norm(f_t, p.attn.lnkv)
-        hd = p.attn.heads[0]
+        hd = p.attn.attn.heads[0]
         att = oracles.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T)
-        ref = f_p + att @ p.attn.wo.T + p.attn.bo
+        ref = f_p + att @ p.attn.attn.wo.T + p.attn.attn.bo
         assert np.abs(inject(f_p, f_t, p) - ref).max() < 1e-10
 
     def test_multi_head_cross_attention_matches_dense_oracle_per_head(self):
@@ -350,16 +353,18 @@ class TestInjectExtract:
 
         qn, kn = ln(q_in, lnq), ln(kv_in, lnkv)
         att = np.concatenate(
-            [oracles.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T) for hd in p.heads], axis=1
+            [oracles.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T) for hd in p.attn.heads], axis=1
         )
-        ref = att @ p.wo.T + p.bo
+        ref = att @ p.attn.wo.T + p.attn.bo
         assert np.abs(cross_attention(q_in, kv_in, p) - ref).max() < 1e-10
 
     def test_extract_zero_weights_passes_f_t(self):
         c = 4
         d = c
         heads = (AttnHeadParams(np.zeros((d, c)), np.zeros((d, c)), np.zeros((d, c))),)
-        attn = CrossAttnParams(identity_norm(c), identity_norm(c), heads, np.zeros((c, c)), np.zeros(c))
+        attn = CrossAttnParams(
+            identity_norm(c), identity_norm(c), MultiHeadDmsaParams(heads, np.zeros((c, c)), np.zeros(c))
+        )
         p = ExtractionParams(
             attn,
             identity_norm(c),
@@ -392,9 +397,9 @@ class TestInjectExtract:
         f_p = rng.standard_normal((9, c))
         qn = layer_norm(f_t, p.attn.lnq)
         kn = layer_norm(f_p, p.attn.lnkv)
-        hd = p.attn.heads[0]
+        hd = p.attn.attn.heads[0]
         att = oracles.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T)
-        y = f_t + (att @ p.attn.wo.T + p.attn.bo)
+        y = f_t + (att @ p.attn.attn.wo.T + p.attn.attn.bo)
         ref = y + mlp(layer_norm(y, p.ffn_ln), p.ffn)
         assert np.abs(extract(f_t, f_p, p) - ref).max() < 1e-10
 
@@ -405,7 +410,7 @@ class TestInjectExtract:
             inject(np.ones((3, c)), np.ones((4, c)), p)
 
 
-ARCH = BackboneArch(in_channels=7, widths=(8, 12), dmsa_heads=2, cross_heads=1, ffn_mult=2)
+ARCH = ((8, 12), 2, 1, 2, 1e-5)  # backbone_schema sizes: widths, dmsa_heads, cross_heads, ffn_mult, eps
 
 
 def make_feats(n):
@@ -416,28 +421,27 @@ def make_feats(n):
 
 
 class TestDualBackbone:
-    def test_stage_counts_instrumented(self):
-        arch = BackboneArch(in_channels=7, widths=(8, 8, 8), dmsa_heads=2)
-        w = init_weights(record_tensors(backbone_schema, arch), 0)
-        res = dual_backbone_forward(make_feats(6), backbone_schema(w, arch))
-        assert res.inject_calls == 3
-        assert res.extract_calls == 3
+    def test_stage_counts_instrumented(self, backbone_calls):
+        arch = ((8, 8, 8), 2, 1, 2, 1e-5)
+        w = init_weights(record_tensors(backbone_schema, *arch), 0)
+        dual_backbone_forward(make_feats(6), backbone_schema(w, *arch))
+        assert backbone_calls == {"inject": 3, "extract": 3}
 
     def test_output_widths(self):
-        w = init_weights(record_tensors(backbone_schema, ARCH), 1)
-        res = dual_backbone_forward(make_feats(5), backbone_schema(w, ARCH))
+        w = init_weights(record_tensors(backbone_schema, *ARCH), 1)
+        res = dual_backbone_forward(make_feats(5), backbone_schema(w, *ARCH))
         assert res.f_p.shape == (5, 12)
         assert res.f_t.shape == (5, 12)
         assert res.fused.shape == (5, 12)
 
     def test_stream_decoupling_with_zero_gates(self):
-        w = init_weights(record_tensors(backbone_schema, ARCH), 2)
+        w = init_weights(record_tensors(backbone_schema, *ARCH), 2)
         # gamma starts at zero already; kill extraction attention + ffn to fully decouple
         for name in list(w.entries):
             if ".extract." in name and name.endswith(".w"):
                 w.entries[name] = np.zeros_like(w.entries[name])
         feats = make_feats(6)
-        params = backbone_schema(w, ARCH)
+        params = backbone_schema(w, *ARCH)
         res = dual_backbone_forward(feats, params)
         f_p = feats.features
         for st in params.stages:
@@ -445,7 +449,7 @@ class TestDualBackbone:
         assert np.array_equal(res.f_p, f_p)
 
     def test_permutation_equivariance(self):
-        params = backbone_schema(init_weights(record_tensors(backbone_schema, ARCH), 3), ARCH)
+        params = backbone_schema(init_weights(record_tensors(backbone_schema, *ARCH), 3), *ARCH)
         feats = make_feats(10)
         res = dual_backbone_forward(feats, params)
         for _ in range(3):
@@ -459,14 +463,14 @@ class TestDualBackbone:
             assert np.array_equal(res_p.f_t, res.f_t[perm])
 
     def test_matches_straight_line_reimplementation(self):
-        arch = BackboneArch(in_channels=7, widths=(8,), dmsa_heads=2)
-        w = init_weights(record_tensors(backbone_schema, arch), 4)
+        arch = ((8,), 2, 1, 2, 1e-5)
+        w = init_weights(record_tensors(backbone_schema, *arch), 4)
         # randomize the gates so the test exercises real coupling
         w.entries["stage1.inject.gamma"] = rng.standard_normal(8)
         w.entries["stage1.tf.attn.head0.beta"] = np.array([0.3])
         w.entries["stage1.tf.attn.head1.beta"] = np.array([1.2])
         feats = make_feats(4)
-        p = backbone_schema(w, arch)
+        p = backbone_schema(w, *arch)
         res = dual_backbone_forward(feats, p)
         st = p.stages[0]
         f_p = point_block(feats.features, st.point_mlp)
@@ -478,21 +482,40 @@ class TestDualBackbone:
         assert np.abs(res.fused - fused).max() < 1e-9
 
     def test_empty_input_rejected(self):
-        params = backbone_schema(init_weights(record_tensors(backbone_schema, ARCH), 0), ARCH)
+        params = backbone_schema(init_weights(record_tensors(backbone_schema, *ARCH), 0), *ARCH)
         with pytest.raises(EmptyInputError):
             dual_backbone_forward(make_feats(0), params)
 
-    @pytest.mark.parametrize("bad", [{"dmsa_heads": 0}, {"cross_heads": 0}])
-    def test_non_positive_dims_rejected(self, bad):
-        with pytest.raises(ConfigError):
-            BackboneArch(**bad)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"dmsa_heads": 0},
+            {"cross_heads": 0},
+            {"stage_widths": (8, 7), "dmsa_heads": 1},  # odd width
+            {"stage_widths": (8, 6), "dmsa_heads": 4},
+            {"stage_widths": (8, 6), "dmsa_heads": 2, "cross_heads": 4},
+            "backbone.dmsa_heads = 0",
+            "backbone.cross_heads = 0",
+            "backbone.widths = 8,7\nbackbone.dmsa_heads = 1",
+            "backbone.widths = 8,6\nbackbone.dmsa_heads = 4",
+            "backbone.widths = 8,6\nbackbone.dmsa_heads = 2\nbackbone.cross_heads = 4",
+        ],
+    )
+    def test_non_positive_dims_rejected(self, bad, tmp_path):
+        with pytest.raises(ConfigError, match="heads = 0|stage_widths"):
+            if isinstance(bad, str):
+                path = tmp_path / "cfg.txt"
+                path.write_text(bad + "\n")
+                load_config(path)
+            else:
+                PipelineConfig(**bad)
 
     def test_missing_weights_lookup_error(self):
         with pytest.raises(WeightLookupError):
-            backbone_schema(WeightSet(), ARCH)
+            backbone_schema(WeightSet(), *ARCH)
 
     def test_beta_clamped_at_load(self):
-        w = init_weights(record_tensors(backbone_schema, ARCH), 5)
+        w = init_weights(record_tensors(backbone_schema, *ARCH), 5)
         w.entries["stage1.tf.attn.head0.beta"] = np.array([-3.0])
-        params = backbone_schema(w, ARCH)
+        params = backbone_schema(w, *ARCH)
         assert params.stages[0].tf.attn.heads[0].beta == 0.0

@@ -4,14 +4,19 @@
 The runs are derandomized and bounded, and keep no example database. Each
 mutation overwrites, inserts, deletes or truncates bytes at a position taken
 modulo the current length, so headers and counts are hit as often as payload
-bytes.
+bytes. A directory given to any loader, the config loader too, raises the
+loader's RcbevError naming the path.
 """
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rcbev.bev import BevGrid, BevSpec, load_grid, save_grid
-from rcbev.errors import RcbevError
+from rcbev.config import load_config
+from rcbev.errors import ConfigError, FormatError, RcbevError
 from rcbev.ingest import (
     PointCloud,
     load_point_cloud,
@@ -127,3 +132,20 @@ def test_mutated_weight_manifest_loads_or_raises_rcbev_error(tmp_path, manifest_
     except RcbevError:
         return
     assert all(np.all(np.isfinite(arr)) for arr in ws.entries.values())
+
+
+@pytest.mark.parametrize(
+    "load, error",
+    [
+        (load_point_cloud, FormatError),
+        (load_point_cloud_binary, FormatError),
+        (load_grid, FormatError),
+        (load_weights, FormatError),
+        (load_config, ConfigError),
+    ],
+)
+def test_directory_raises_rcbev_error_naming_the_path(tmp_path, load, error):
+    with pytest.raises(error, match=re.escape(str(tmp_path))):
+        load(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        load(tmp_path / "missing")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rcbev import cli
 from rcbev.bev import BevSpec, load_grid, save_grid
 from rcbev.cli import main as cli_main
 from rcbev.config import (
@@ -80,6 +81,7 @@ class TestConfigFile:
             "bev.resolution = 5e-324",
             {"seed": -1},
             "pipeline.seed = -1",
+            "bev.resolution = 1e-300",  # h = w ~ 1e302: rejected at load, never run
         ],
     )
     def test_negative_count_or_size_rejected(self, bad, tmp_path):
@@ -436,6 +438,17 @@ class TestCli:
         assert cli_main(argv(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["extract", "fuse", "synth", "gen-cam", "bench"])
+    @pytest.mark.parametrize("out", ["dir", "no-parent"])
+    def test_bad_out_rejected_before_any_work(self, command, out, tmp_path, monkeypatch, capsys):
+        for name in ("run_pipeline", "run_bench", "load_grid", "synth_scene", "gen_camera_bev"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} ran before --out check"))
+        positional = {"extract": ["scene.csv"], "fuse": ["r.bevgrid", "c.bevgrid"]}.get(command, [])
+        out_path = tmp_path if out == "dir" else tmp_path / "missing" / "x.out"
+        assert cli_main([command, *positional, "--out", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out_path) in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command, flag",
