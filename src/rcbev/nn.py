@@ -6,6 +6,10 @@ through np.einsum(optimize=False), and every reduction runs in the order its
 operands are given in, so results are bit-identical across runs and thread
 counts. Attention callers gather their keys in one canonical order
 (key_order) first, which makes them bit-identical under row permutations too.
+
+conv3x3 runs im2col on blocks of output pixels, and given a live-pixel mask
+it computes only the pixels near it, taking one background output for the
+rest; both give the bits of a dense whole-grid im2col.
 """
 
 from __future__ import annotations
@@ -181,11 +185,65 @@ def attend(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jc->ic", weights, values, optimize=False)
 
 
-def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+CONV_BLOCK = 128  # output pixels per im2col block: C_in * 9 * 128 floats, 1.2 MB at C_in = 128
+
+
+def conv_reach(live: np.ndarray) -> np.ndarray:
+    """The H x W pixels whose 3x3 window meets a ``live`` pixel or the zero
+    padding: the only pixels where a conv3x3 output can differ from the
+    output over an all-background window."""
+    h, w = live.shape
+    padded = np.ones((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = live
+    reach = np.zeros((h, w), dtype=bool)
+    for dy in range(3):
+        for dx in range(3):
+            reach |= padded[dy : dy + h, dx : dx + w]
+    return reach
+
+
+def _conv_pixels(x: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, Optional[int]]:
+    """The flat pixels conv3x3 computes for the live mask ``live``, and the
+    position among them of the background pixel whose output every other
+    pixel takes (None when every pixel is computed)."""
+    c, h, w = x.shape
+    live = np.asarray(live, dtype=bool)
+    if live.shape != (h, w):
+        raise ShapeError(f"conv3x3 live mask {live.shape} does not match the {h} x {w} grid")
+    # bit patterns, so -0.0 is not +0.0; pixels outside the mask that differ
+    # from the first of them join it, so any mask gives the dense result
+    bits = x.reshape(c, h * w).view(np.int64)
+    outside = np.flatnonzero(~live)
+    if outside.size:
+        live = live | (bits != bits[:, outside[:1]]).any(axis=0).reshape(h, w)
+    reach = conv_reach(live).reshape(h * w)
+    background = np.flatnonzero(~reach)
+    if not background.size:
+        return np.arange(h * w), None
+    reach[background[0]] = True
+    pixels = np.flatnonzero(reach)
+    return pixels, int(np.searchsorted(pixels, background[0]))
+
+
+def conv3x3(
+    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, live: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Zero-padded (pad 1, stride 1) cross-correlation with 3x3 kernels.
 
     x: C_in x H x W, kernels: C_out x C_in x 3 x 3, bias: C_out; output
     spatial dims equal input dims.
+
+    im2col runs on blocks of CONV_BLOCK output pixels, each contracted by one
+    fixed-order einsum, so no whole-grid patch buffer is built. An output
+    pixel sums its C_in * 9 products in the same order whichever block holds
+    it, so the result is bit-identical to a whole-grid im2col.
+
+    ``live`` (H x W bool, optional) marks the input pixels that may differ
+    from the background; every other pixel must hold one channel vector, and
+    any that does not, compared by bits, is added to the mask. Only the
+    pixels of conv_reach(live) are computed, plus one pixel whose window is
+    all background, whose output every other pixel takes. The result is
+    bit-identical to the dense conv.
     """
     x, kernels, bias = as_f64(x), as_f64(kernels), as_f64(bias)
     if x.ndim != 3:
@@ -197,12 +255,27 @@ def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if bias.shape != (kernels.shape[0],):
         raise ShapeError(f"conv3x3 bias sized {bias.shape} != C_out {kernels.shape[0]}")
     c_in, h, w = x.shape
+    c_out = kernels.shape[0]
+    pixels, background = (np.arange(h * w), None) if live is None else _conv_pixels(x, live)
     xp = np.zeros((c_in, h + 2, w + 2))
     xp[:, 1 : 1 + h, 1 : 1 + w] = x
-    # im2col: 9 shifted views stacked along a patch axis, then one contraction
-    cols = np.empty((c_in, 3, 3, h, w))
-    for dy in range(3):
-        for dx in range(3):
-            cols[:, dy, dx] = xp[:, dy : dy + h, dx : dx + w]
-    out = np.einsum("oiyx,iyxhw->ohw", kernels, cols, optimize=False)
-    return out + bias[:, None, None]
+    xp = xp.reshape(c_in, -1)
+    # flat offsets in xp of the 9 taps from a window's top-left corner, and
+    # each output pixel's corner; patch rows are ordered (c_in, dy, dx) like kernels
+    taps = (np.arange(3)[:, None] * (w + 2) + np.arange(3)).reshape(9, 1)
+    corner = pixels // w * (w + 2) + pixels % w
+    flat_kernels = kernels.reshape(c_out, c_in * 9)
+    n = len(pixels)
+    out = np.empty((c_out, n))
+    for start in range(0, n, CONV_BLOCK):
+        # the last block overlaps the one before it: a one-pixel block would
+        # make einsum reduce in another order and change the bits
+        start = max(min(start, n - CONV_BLOCK), 0)
+        cols = xp[:, taps + corner[start : start + CONV_BLOCK]].reshape(c_in * 9, -1)
+        out[:, start : start + CONV_BLOCK] = np.einsum("ok,kp->op", flat_kernels, cols, optimize=False)
+    out += bias[:, None]
+    if background is not None:
+        full = np.repeat(out[:, background : background + 1], h * w, axis=1)
+        full[:, pixels] = out
+        out = full
+    return out.reshape(c_out, h, w)

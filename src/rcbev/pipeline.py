@@ -20,6 +20,7 @@ from .bev import (
     CbrBlockParams,
     bev_encode,
     gaussian_bev_map,
+    live_pixels,
     rcs_bev_feature,
     rcs_scatter,
     to_pixel,
@@ -46,7 +47,8 @@ def checksum(arr: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(repr(arr.shape).encode())
     h.update(str(arr.dtype).encode())
-    h.update(arr.astype("<f8").tobytes() if arr.dtype.kind == "f" else arr.tobytes())
+    # hashed in place: no float64 copy when arr already is one, no bytes copy
+    h.update(memoryview(np.ascontiguousarray(arr, dtype="<f8")) if arr.dtype.kind == "f" else arr.tobytes())
     return h.hexdigest()
 
 
@@ -201,7 +203,9 @@ def radar_branch(
 
     radar_bev = report.run(
         "bev_encode",
-        lambda: bev_encode(rcs_bev_feature(f_rcs, g_rcs, rcs_mlp), base, enc_blocks),
+        lambda: bev_encode(
+            rcs_bev_feature(f_rcs, g_rcs, rcs_mlp), base, enc_blocks, live=live_pixels(f_rcs, g_rcs, base)
+        ),
     )
     if radar_bev.channels != cfg.radar_channels:
         raise PipelineError(

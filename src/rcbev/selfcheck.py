@@ -33,6 +33,7 @@ from .bev import (
     BevSpec,
     CbrBlockParams,
     ScatterConfig,
+    bev_encode,
     gaussian_bev_map,
     rcs_scatter,
     to_pixel,
@@ -43,6 +44,7 @@ from .ingest import ClusterSpec, PointFeatureSet, SceneConfig
 from .nn import (
     MlpLayer,
     MlpParams,
+    NormParams,
     conv3x3,
     identity_norm,
     layer_norm,
@@ -417,6 +419,28 @@ def check_fuse_residual() -> tuple[float, str]:
     return (0.0 if np.array_equal(fused.data, ref) else _maxabs(fused.data, ref)), "zero kernels = pure residual"
 
 
+def check_conv_live_mask() -> tuple[float, str]:
+    rng = np.random.default_rng(119)
+    c, h, w = 3, 10, 12
+    spec = BevSpec.from_extent(0.0, float(w), 0.0, float(h), 1.0)
+    live = np.zeros((h, w), dtype=bool)
+    live[0, 4] = live[h - 1, 7] = live[5, 0] = live[2, w - 1] = live[0, 0] = True  # edges and a corner
+    a = BevGrid(np.where(live, rng.standard_normal((c, h, w)), rng.standard_normal((c, 1, 1))), spec)
+    b = BevGrid(np.where(live, rng.standard_normal((1, h, w)), 0.0), spec)
+
+    def block(cin: int, cout: int) -> CbrBlockParams:
+        bn = NormParams(
+            rng.uniform(0.5, 1.5, cout), rng.standard_normal(cout), 1e-5,
+            mean=rng.standard_normal(cout), var=rng.uniform(0.5, 2.0, cout),
+        )
+        proj = (rng.standard_normal((cout, cin)), rng.standard_normal(cout)) if cin != cout else None
+        return CbrBlockParams(rng.standard_normal((cout, cin, 3, 3)), rng.standard_normal(cout), bn, proj)
+
+    blocks = (block(c + 1, 4), block(4, 4), block(4, 4))
+    same = bev_encode(a, b, blocks, live=live).data.tobytes() == bev_encode(a, b, blocks).data.tobytes()
+    return (0.0 if same else 1.0), "live-pixel CBR stack bit-equal to the dense one"
+
+
 def tiny_pipeline_config() -> PipelineConfig:
     scene = SceneConfig(
         n_clusters=2,
@@ -482,6 +506,7 @@ CHECKS: list[tuple[str, float, Callable[[], tuple[float, str]]]] = [
     ("deform-identity", 1e-12, check_deform_identity),
     ("align-residual", 0.0, check_align_residual),
     ("fuse-residual", 0.0, check_fuse_residual),
+    ("conv-live-mask", 0.0, check_conv_live_mask),
     ("pipeline-determinism", 0.0, check_pipeline_determinism),
 ]
 

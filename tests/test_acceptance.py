@@ -35,6 +35,10 @@ from rcbev.weights import init_weights, record_tensors
 GOLDEN_SCENE = Path(__file__).parent / "data" / "golden_scene.csv"
 GOLDEN_FUSED_CHECKSUM = "4a5696ae7fa92174d419de8aeb55669c326f08ef45dd6229c439c4f75f9e214c"
 GOLDEN_RADAR_CHECKSUM = "1d2fd3ab3d27610cb244e44cb1c11e7208050e2bbf492a744c48ca831a4fb8b1"
+# the default 128x128 run of criterion 8; like GOLDEN_*, these hold for the
+# numpy CPU-dispatch level they were derived on (ROADMAP item 2)
+DEFAULT_FUSED_CHECKSUM = "2ade36870bf8832504ecac22d3fc17614e4085681d05a10aa8dc80ba57dcbbcc"
+DEFAULT_RADAR_CHECKSUM = "71be449513827b75c40043eaf4902a8dd67f2f5d74cb4ba4504bf0d20c8150dd"
 
 
 def report(n: int, name: str, ok: bool, detail: str = ""):
@@ -290,11 +294,15 @@ def test_criterion_8_structural_conformance(backbone_calls):
         and backbone_calls == {"inject": 3, "extract": 3}
         and out.fused.data.shape == (cfg.fused_channels, 128, 128)
     )
+    bits_ok = (
+        checksum(out.fused.data) == DEFAULT_FUSED_CHECKSUM
+        and checksum(out.radar_bev.data) == DEFAULT_RADAR_CHECKSUM
+    )
     report(
         8,
-        "default pipeline: 3 stages, 3 inject/extract, fused 128x128x128",
-        ok,
-        f"calls={backbone_calls}, shape={out.fused.data.shape}",
+        "default pipeline: 3 stages, 3 inject/extract, fused 128x128x128, pinned bits",
+        ok and bits_ok,
+        f"calls={backbone_calls}, shape={out.fused.data.shape}, checksums {'match' if bits_ok else 'differ'}",
     )
 
 

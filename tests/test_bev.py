@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rcbev.nn
 from rcbev import oracles
 from rcbev.bev import (
     BevGrid,
@@ -13,6 +14,7 @@ from rcbev.bev import (
     bev_encode,
     footprint,
     gaussian_bev_map,
+    live_pixels,
     load_grid,
     rcs_bev_feature,
     rcs_scatter,
@@ -438,6 +440,69 @@ class TestBevEncode:
                 res = x
             x = y + res
         assert np.abs(out.data - x).max() < 1e-9
+
+
+LIVE_SPEC = BevSpec.from_extent(0.0, 12.0, 0.0, 12.0, 1.0)
+LIVE_POINTS = {
+    "corners": [(0.2, 0.3), (11.9, 0.1), (0.1, 11.8), (11.7, 11.9)],
+    "edges": [(6.2, 0.1), (6.7, 11.9), (0.1, 5.3), (11.9, 4.4)],
+    "empty": [],
+    "covered": [(6.0, 6.0)],
+}
+
+
+class TestLiveEncode:
+    """The radar encoder's live-pixel path is bit-identical to the dense
+    stack, wherever the points fall."""
+
+    @staticmethod
+    def encoder_inputs(points, scatter):
+        n = len(points)
+        coords = np.asarray(points, dtype=float).reshape(n, 2)
+        feats = PointFeatureSet(rng.standard_normal((n, 3)), coords, rng.uniform(0.2, 1.0, n))
+        f_rcs = rcs_scatter(feats, LIVE_SPEC, scatter)
+        base = rcs_scatter(feats, LIVE_SPEC, ScatterConfig(0.0, 0.0))
+        uv, _ = to_pixel(coords, LIVE_SPEC)
+        g_rcs = gaussian_bev_map(uv, feats.rcs_norm, LIVE_SPEC, scatter)
+        mix = mix_mlp(
+            (rng.standard_normal((5, 4)), rng.standard_normal(5)), (rng.standard_normal((4, 5)), rng.standard_normal(4))
+        )
+        return rcs_bev_feature(f_rcs, g_rcs, mix), base, live_pixels(f_rcs, g_rcs, base)
+
+    @pytest.mark.parametrize("where", sorted(LIVE_POINTS))
+    def test_live_matches_dense(self, where, monkeypatch):
+        scatter = ScatterConfig(100.0, 30.0) if where == "covered" else ScatterConfig(0.05, 2.0)
+        mixed, base, live = self.encoder_inputs(LIVE_POINTS[where], scatter)
+        assert live.all() == (where == "covered") and live.any() == (where != "empty")
+        blocks = (enc_block(7, 4), enc_block(4, 4), enc_block(4, 4))
+        dense = bev_encode(mixed, base, blocks)
+        sizes = []
+        conv_pixels = rcbev.nn._conv_pixels
+
+        def counted(x, mask):
+            pixels, background = conv_pixels(x, mask)
+            sizes.append(len(pixels))
+            return pixels, background
+
+        monkeypatch.setattr(rcbev.nn, "_conv_pixels", counted)
+        assert bev_encode(mixed, base, blocks, live=live).data.tobytes() == dense.data.tobytes()
+        # each of the 3 convs skips the background, unless the grid has none
+        full = LIVE_SPEC.h * LIVE_SPEC.w
+        assert len(sizes) == 3 and all((n == full) == (where == "covered") for n in sizes)
+
+    def test_negative_zero_is_live(self):
+        data = np.zeros((2, 3, 4))
+        data[1, 2, 1] = -0.0
+        live = live_pixels(BevGrid(data, BevSpec.from_extent(0.0, 4.0, 0.0, 3.0, 1.0)))
+        assert np.array_equal(np.flatnonzero(live), [9])
+
+    def test_negative_zero_background_matches_dense(self):
+        # a mixed feature whose background holds -0.0, next to +0.0 padding
+        mixed, base, live = self.encoder_inputs(LIVE_POINTS["edges"], ScatterConfig(0.05, 2.0))
+        mixed.data[:, ~live] = -0.0
+        blocks = (enc_block(7, 4), enc_block(4, 4))
+        dense = bev_encode(mixed, base, blocks)
+        assert bev_encode(mixed, base, blocks, live=live).data.tobytes() == dense.data.tobytes()
 
 
 class TestGridFile:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rcbev import oracles
 from rcbev.errors import ConfigError, DataError, EmptyInputError, ShapeError
 from rcbev.nn import (
+    CONV_BLOCK,
     MlpLayer,
     MlpParams,
     NormParams,
@@ -198,6 +200,114 @@ class TestConv3x3:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv3x3(np.ones((2, 4, 4)), np.ones((1, 3, 3, 3)), np.zeros(1))
+
+    def test_live_mask_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            conv3x3(np.ones((1, 4, 4)), np.ones((1, 1, 3, 3)), np.zeros(1), live=np.ones((4, 5), bool))
+
+
+def whole_grid_conv3x3(x, kernels, bias):
+    """The whole-grid im2col conv that preceded the pixel-block kernel, kept
+    verbatim as the bit pattern the block kernel must reproduce."""
+    c_in, h, w = x.shape
+    xp = np.zeros((c_in, h + 2, w + 2))
+    xp[:, 1 : 1 + h, 1 : 1 + w] = x
+    # im2col: 9 shifted views stacked along a patch axis, then one contraction
+    cols = np.empty((c_in, 3, 3, h, w))
+    for dy in range(3):
+        for dx in range(3):
+            cols[:, dy, dx] = xp[:, dy : dy + h, dx : dx + w]
+    out = np.einsum("oiyx,iyxhw->ohw", kernels, cols, optimize=False)
+    return out + bias[:, None, None]
+
+
+def random_conv(c_in, c_out, h, w):
+    return (
+        rng.standard_normal((c_in, h, w)),
+        rng.standard_normal((c_out, c_in, 3, 3)),
+        rng.standard_normal(c_out),
+    )
+
+
+class TestConvBlocks:
+    """The pixel-block kernel is bit-identical to the whole-grid one, and
+    the live-mask path to the dense path."""
+
+    @pytest.mark.parametrize(
+        "c_in, c_out, h, w",
+        [
+            (3, 4, 7, 9),  # odd H and W, one block
+            (1, 5, 11, 45),  # C_in = 1; 495 pixels: blocks split rows, the last overlaps
+            (2, 3, 1, 1),  # a 1 x 1 grid
+            (4, 2, 5, 7),  # smaller than one block
+            (8, 8, 1, CONV_BLOCK + 1),  # one pixel past a block: the last block overlaps
+            (6, 5, 3, 128),  # 128-wide rows, each one block
+        ],
+    )
+    def test_blocks_match_whole_grid(self, c_in, c_out, h, w):
+        x, k, b = random_conv(c_in, c_out, h, w)
+        assert np.array_equal(conv3x3(x, k, b), whole_grid_conv3x3(x, k, b))
+
+    @staticmethod
+    def assert_live_matches_dense(x, live, c_out=3):
+        k, b = rng.standard_normal((c_out, x.shape[0], 3, 3)), rng.standard_normal(c_out)
+        dense = conv3x3(x, k, b)
+        assert np.array_equal(dense, whole_grid_conv3x3(x, k, b))
+        got = conv3x3(x, k, b, live=live)
+        assert got.tobytes() == dense.tobytes()  # bits, so -0.0 and +0.0 differ
+
+    @staticmethod
+    def sparse_input(points, c=3, h=9, w=11, background=(0.4, -1.5, 0.0)):
+        x = np.empty((c, h, w))
+        x[:] = np.asarray(background)[:, None, None]
+        live = np.zeros((h, w), bool)
+        for y, xx in points:
+            x[:, y, xx] = rng.standard_normal(c)
+            live[y, xx] = True
+        return x, live
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0), (0, 10), (8, 0), (8, 10)],  # the four corners
+            [(0, 5)], [(8, 4)], [(3, 0)], [(6, 10)],  # one on each edge
+            [(4, 5), (4, 6)],  # interior only
+        ],
+    )
+    def test_live_points(self, points):
+        self.assert_live_matches_dense(*self.sparse_input(points))
+
+    def test_all_background(self):
+        self.assert_live_matches_dense(*self.sparse_input([]))
+
+    def test_no_background(self):
+        x = rng.standard_normal((2, 6, 7))
+        self.assert_live_matches_dense(x, np.ones((6, 7), bool))
+
+    def test_negative_zero_background(self):
+        # background -0.0 in every channel, against the +0.0 zero padding
+        self.assert_live_matches_dense(*self.sparse_input([(2, 3)], background=(-0.0, -0.0, -0.0)))
+        # a -0.0 outside the mask in a +0.0 background is found by its bits
+        x, live = self.sparse_input([(2, 3)], background=(0.0, 0.0, 0.0))
+        x[1, 6, 6] = -0.0
+        self.assert_live_matches_dense(x, live)
+
+    def test_wrong_mask_still_dense_result(self):
+        # pixels outside the mask that differ from the background join it
+        x, _ = self.sparse_input([(1, 1), (5, 9), (8, 3)])
+        self.assert_live_matches_dense(x, np.zeros(x.shape[1:], bool))
+        self.assert_live_matches_dense(rng.standard_normal((2, 5, 6)), np.zeros((5, 6), bool))
+
+    def test_peak_memory_of_one_conv(self):
+        x, k, b = random_conv(64, 64, 128, 128)
+        out_bytes = 64 * 128 * 128 * 8
+        tracemalloc.start()
+        try:
+            conv3x3(x, k, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * out_bytes, f"peak {peak / 1e6:.1f} MB for an {out_bytes / 1e6:.1f} MB output"
 
 
 class TestBatchNorm:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,22 @@ class TestGenCameraBev:
         a = gen_camera_bev(self.SPEC, 4, 1)
         b = gen_camera_bev(self.SPEC, 4, 2)
         assert checksum(a.data) != checksum(b.data)
+
+
+def test_checksum_matches_copying_formula():
+    # the digest hashes the array in place; it must equal the formula that
+    # copied it twice (astype, then tobytes), which the benchmark records use
+    def copied(arr):
+        arr = np.ascontiguousarray(arr)
+        h = hashlib.sha256()
+        h.update(repr(arr.shape).encode())
+        h.update(str(arr.dtype).encode())
+        h.update(arr.astype("<f8").tobytes() if arr.dtype.kind == "f" else arr.tobytes())
+        return h.hexdigest()
+
+    a = np.random.default_rng(3).standard_normal((4, 5, 6))
+    for arr in (a, a.transpose(2, 0, 1), a[:, ::2], a.astype(np.float32), a.astype(">f8"), np.arange(12).reshape(3, 4)):
+        assert checksum(arr) == copied(arr)
 
 
 class TestRunPipeline:
