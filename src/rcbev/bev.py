@@ -6,9 +6,9 @@ the normalized RCS, with summation pooling on collisions. A Gaussian weight
 map built per point over the same support (max-combined across points) is
 concatenated and mixed by a per-pixel MLP; a residual conv/bn/relu (CBR) stack
 then produces the radar BEV feature. The same stack, bev_encode, fuses the
-aligned camera and radar grids in fusion. The radar encoder convolves only
-near its live pixels, those the points reach, as every other pixel holds one
-background vector; the fuser's camera half is dense, so it convolves them all.
+aligned camera and radar grids in fusion. In every conv, pixels whose window
+is all background, compared by bits, take one computed output, so the radar
+grid, which the points leave mostly empty, is convolved only near its points.
 
 Coverage is decided once per call, in a footprint table of (point, pixel, d2)
 entries ordered by point that the scatter and the Gaussian map both read. Sums
@@ -29,7 +29,7 @@ from .errors import (
     ConfigError, DataError, FormatError, ShapeError, read_file, require_finite, require_finite_fields, require_inside,
 )
 from .ingest import PointFeatureSet
-from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3, conv_reach, mlp, relu
+from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3, mlp, relu
 from .weights import TensorSource, INIT_GLOROT, INIT_ONES, INIT_ZEROS, linear_schema
 
 GRID_MAGIC = b"BEVG"
@@ -251,8 +251,8 @@ def project_1x1(x: np.ndarray, proj: tuple[np.ndarray, np.ndarray] | None) -> np
     return np.einsum("kc,chw->khw", as_f64(w), as_f64(x), optimize=False) + as_f64(b)[:, None, None]
 
 
-def cbr_residual(x: np.ndarray, p: CbrBlockParams, live: np.ndarray | None = None) -> np.ndarray:
-    return relu(batch_norm_2d(conv3x3(x, p.conv_w, p.conv_b, live=live), p.bn)) + project_1x1(x, p.proj)
+def cbr_residual(x: np.ndarray, p: CbrBlockParams) -> np.ndarray:
+    return relu(batch_norm_2d(conv3x3(x, p.conv_w, p.conv_b), p.bn)) + project_1x1(x, p.proj)
 
 
 def cbr_stack_schema(
@@ -263,32 +263,17 @@ def cbr_stack_schema(
     return tuple(cbr_schema(src, prefix, c_out if k else c_in, c_out, eps) for k, prefix in enumerate(prefixes))
 
 
-def live_pixels(*grids: BevGrid) -> np.ndarray:
-    """H x W mask of the pixels where any channel of any grid is not +0.0,
-    compared by bits, so a -0.0 is live."""
-    return np.any([np.any(g.data.view(np.int64), axis=0) for g in grids], axis=0)
-
-
-def bev_encode(
-    a: BevGrid, b: BevGrid, blocks: Sequence[CbrBlockParams], live: np.ndarray | None = None
-) -> BevGrid:
+def bev_encode(a: BevGrid, b: BevGrid, blocks: Sequence[CbrBlockParams]) -> BevGrid:
     """The residual CBR stack: channel-concat two grids and run the residual
     conv3x3 + batch-norm + ReLU blocks; zero blocks = raw concat. The radar
     encoder runs it on (mixed feature, single-pixel scatter), the fuser on
-    (aligned camera, aligned radar).
-
-    ``live`` (H x W bool) marks the input pixels that may differ from the one
-    background vector that all other pixels share; each conv then computes
-    only near them (nn.conv3x3), and the mask grows by one pixel ring per
-    block, as BN, ReLU and the residual act per pixel. The output is
-    bit-identical to the dense stack's."""
+    (aligned camera, aligned radar). Each conv finds its input's background
+    itself (nn.conv3x3), so the sparse radar grid costs only its live pixels."""
     if a.spec != b.spec:
         raise ShapeError("CBR stack inputs have different grid specs")
     x = np.concatenate([a.data, b.data], axis=0)
     for block in blocks:
-        x = cbr_residual(x, block, live)
-        if live is not None:
-            live = conv_reach(live)
+        x = cbr_residual(x, block)
     return BevGrid(x, a.spec)
 
 

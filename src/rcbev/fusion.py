@@ -161,10 +161,8 @@ def deform_attn(
 
 def cross_align(f_c: BevGrid, f_r: BevGrid, p: AlignParams) -> tuple[BevGrid, BevGrid]:
     """Bidirectional residual alignment; both updates use pre-update inputs."""
-    if (f_c.spec.h, f_c.spec.w) != (f_r.spec.h, f_r.spec.w):
-        raise ShapeError(
-            f"camera grid {f_c.data.shape} and radar grid {f_r.data.shape} sizes differ"
-        )
+    if f_c.spec != f_r.spec:
+        raise ShapeError(f"camera grid {f_c.spec} and radar grid {f_r.spec} differ")
     cam = add_pos_embed(f_c, p.pos_cam)
     rad = add_pos_embed(f_r, p.pos_rad)
     cam_update = deform_attn(rad.data, None, cam.data, p.r2c)

@@ -3,7 +3,8 @@ the kernels against.
 
 Everything here is written as plain loops, math.fsum or textbook formulas,
 independent of the vectorized kernels it cross-checks, so every comparison is
-a genuine dual-route check.
+a genuine dual-route check. whole_grid_conv3x3 is the one bit-exact reference:
+a dense im2col that sums each output in the order conv3x3 does.
 """
 
 from __future__ import annotations
@@ -41,6 +42,21 @@ def loop_conv3x3(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
                                 terms.append(k[o, i, dy + 1, dx + 1] * x[i, yy, xx])
                 out[o, y, col] = b[o] + math.fsum(terms)
     return out
+
+
+def whole_grid_conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Zero-padded 3x3 cross-correlation as one whole-grid im2col contraction,
+    every output pixel computed: the bit pattern conv3x3 must reproduce."""
+    c_in, h, w = x.shape
+    xp = np.zeros((c_in, h + 2, w + 2))
+    xp[:, 1 : 1 + h, 1 : 1 + w] = x
+    # im2col: 9 shifted views stacked along a patch axis, then one contraction
+    cols = np.empty((c_in, 3, 3, h, w))
+    for dy in range(3):
+        for dx in range(3):
+            cols[:, dy, dx] = xp[:, dy : dy + h, dx : dx + w]
+    out = np.einsum("oiyx,iyxhw->ohw", kernels, cols, optimize=False)
+    return out + bias[:, None, None]
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

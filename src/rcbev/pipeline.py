@@ -20,7 +20,6 @@ from .bev import (
     CbrBlockParams,
     bev_encode,
     gaussian_bev_map,
-    live_pixels,
     rcs_bev_feature,
     rcs_scatter,
     to_pixel,
@@ -201,12 +200,7 @@ def radar_branch(
 
     f_rcs, base, g_rcs = report.run("scatter", scatter, out_array=lambda t: t[0].data)
 
-    radar_bev = report.run(
-        "bev_encode",
-        lambda: bev_encode(
-            rcs_bev_feature(f_rcs, g_rcs, rcs_mlp), base, enc_blocks, live=live_pixels(f_rcs, g_rcs, base)
-        ),
-    )
+    radar_bev = report.run("bev_encode", lambda: bev_encode(rcs_bev_feature(f_rcs, g_rcs, rcs_mlp), base, enc_blocks))
     if radar_bev.channels != cfg.radar_channels:
         raise PipelineError(
             "bev_encode",

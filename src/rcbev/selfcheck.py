@@ -33,7 +33,6 @@ from .bev import (
     BevSpec,
     CbrBlockParams,
     ScatterConfig,
-    bev_encode,
     gaussian_bev_map,
     rcs_scatter,
     to_pixel,
@@ -44,7 +43,6 @@ from .ingest import ClusterSpec, PointFeatureSet, SceneConfig
 from .nn import (
     MlpLayer,
     MlpParams,
-    NormParams,
     conv3x3,
     identity_norm,
     layer_norm,
@@ -419,26 +417,25 @@ def check_fuse_residual() -> tuple[float, str]:
     return (0.0 if np.array_equal(fused.data, ref) else _maxabs(fused.data, ref)), "zero kernels = pure residual"
 
 
-def check_conv_live_mask() -> tuple[float, str]:
+def check_conv_background() -> tuple[float, str]:
     rng = np.random.default_rng(119)
     c, h, w = 3, 10, 12
-    spec = BevSpec.from_extent(0.0, float(w), 0.0, float(h), 1.0)
-    live = np.zeros((h, w), dtype=bool)
-    live[0, 4] = live[h - 1, 7] = live[5, 0] = live[2, w - 1] = live[0, 0] = True  # edges and a corner
-    a = BevGrid(np.where(live, rng.standard_normal((c, h, w)), rng.standard_normal((c, 1, 1))), spec)
-    b = BevGrid(np.where(live, rng.standard_normal((1, h, w)), 0.0), spec)
-
-    def block(cin: int, cout: int) -> CbrBlockParams:
-        bn = NormParams(
-            rng.uniform(0.5, 1.5, cout), rng.standard_normal(cout), 1e-5,
-            mean=rng.standard_normal(cout), var=rng.uniform(0.5, 2.0, cout),
-        )
-        proj = (rng.standard_normal((cout, cin)), rng.standard_normal(cout)) if cin != cout else None
-        return CbrBlockParams(rng.standard_normal((cout, cin, 3, 3)), rng.standard_normal(cout), bn, proj)
-
-    blocks = (block(c + 1, 4), block(4, 4), block(4, 4))
-    same = bev_encode(a, b, blocks, live=live).data.tobytes() == bev_encode(a, b, blocks).data.tobytes()
-    return (0.0 if same else 1.0), "live-pixel CBR stack bit-equal to the dense one"
+    corners_edges = ((0, 0), (h - 1, w - 1), (0, 4), (h - 1, 7), (5, 0), (2, w - 1))
+    inputs = []
+    for background in (rng.standard_normal((c, 1, 1)), np.full((c, 1, 1), -0.0)):
+        x = np.tile(background, (1, h, w))
+        for y, col in corners_edges:
+            x[:, y, col] = rng.standard_normal(c)
+        inputs.append(x)
+    x = np.zeros((c, h, w))
+    x[1, 6, 6] = -0.0  # one -0.0 in a +0.0 background
+    x[2, 3, 8] = 1.5  # a pixel that differs in its last channel only
+    inputs.append(x)
+    same = True
+    for x in inputs:
+        k, b = rng.standard_normal((4, c, 3, 3)), rng.standard_normal(4)
+        same &= conv3x3(x, k, b).tobytes() == oracles.whole_grid_conv3x3(x, k, b).tobytes()
+    return (0.0 if same else 1.0), "sparse-input conv bit-equal to the whole-grid im2col"
 
 
 def tiny_pipeline_config() -> PipelineConfig:
@@ -506,7 +503,7 @@ CHECKS: list[tuple[str, float, Callable[[], tuple[float, str]]]] = [
     ("deform-identity", 1e-12, check_deform_identity),
     ("align-residual", 0.0, check_align_residual),
     ("fuse-residual", 0.0, check_fuse_residual),
-    ("conv-live-mask", 0.0, check_conv_live_mask),
+    ("conv-background", 0.0, check_conv_background),
     ("pipeline-determinism", 0.0, check_pipeline_determinism),
 ]
 

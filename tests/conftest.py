@@ -1,6 +1,7 @@
 import pytest
 
 import rcbev.backbone
+import rcbev.nn
 
 
 @pytest.fixture
@@ -15,3 +16,18 @@ def backbone_calls(monkeypatch):
 
         monkeypatch.setattr(rcbev.backbone, name, counted)
     return calls
+
+
+@pytest.fixture
+def conv_pixels(monkeypatch):
+    """The number of pixels each real rcbev.nn.conv3x3 call computes while the
+    test runs, in call order."""
+    sizes = []
+
+    def counted(x, _fn=rcbev.nn._conv_pixels):
+        pixels, background = _fn(x)
+        sizes.append(len(pixels))
+        return pixels, background
+
+    monkeypatch.setattr(rcbev.nn, "_conv_pixels", counted)
+    return sizes

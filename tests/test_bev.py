@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import rcbev.nn
+import rcbev.bev
 from rcbev import oracles
 from rcbev.bev import (
     BevGrid,
@@ -14,7 +14,6 @@ from rcbev.bev import (
     bev_encode,
     footprint,
     gaussian_bev_map,
-    live_pixels,
     load_grid,
     rcs_bev_feature,
     rcs_scatter,
@@ -452,8 +451,9 @@ LIVE_POINTS = {
 
 
 class TestLiveEncode:
-    """The radar encoder's live-pixel path is bit-identical to the dense
-    stack, wherever the points fall."""
+    """The radar encoder's stack is bit-identical to the same stack run with
+    the whole-grid conv oracle, wherever the points fall, and each conv skips
+    the background unless the grid has none."""
 
     @staticmethod
     def encoder_inputs(points, scatter):
@@ -464,45 +464,34 @@ class TestLiveEncode:
         base = rcs_scatter(feats, LIVE_SPEC, ScatterConfig(0.0, 0.0))
         uv, _ = to_pixel(coords, LIVE_SPEC)
         g_rcs = gaussian_bev_map(uv, feats.rcs_norm, LIVE_SPEC, scatter)
-        mix = mix_mlp(
-            (rng.standard_normal((5, 4)), rng.standard_normal(5)), (rng.standard_normal((4, 5)), rng.standard_normal(4))
-        )
-        return rcs_bev_feature(f_rcs, g_rcs, mix), base, live_pixels(f_rcs, g_rcs, base)
+        # one linear layer, so the mixed feature varies wherever the Gaussian map does
+        mix = mix_mlp((rng.standard_normal((4, 4)), rng.standard_normal(4)))
+        return rcs_bev_feature(f_rcs, g_rcs, mix), base
+
+    @staticmethod
+    def assert_encode_matches_oracle(mixed, base, blocks, monkeypatch):
+        got = bev_encode(mixed, base, blocks)
+        monkeypatch.setattr(rcbev.bev, "conv3x3", oracles.whole_grid_conv3x3)
+        assert got.data.tobytes() == bev_encode(mixed, base, blocks).data.tobytes()
 
     @pytest.mark.parametrize("where", sorted(LIVE_POINTS))
-    def test_live_matches_dense(self, where, monkeypatch):
+    def test_live_matches_dense(self, where, monkeypatch, conv_pixels):
         scatter = ScatterConfig(100.0, 30.0) if where == "covered" else ScatterConfig(0.05, 2.0)
-        mixed, base, live = self.encoder_inputs(LIVE_POINTS[where], scatter)
-        assert live.all() == (where == "covered") and live.any() == (where != "empty")
+        mixed, base = self.encoder_inputs(LIVE_POINTS[where], scatter)
         blocks = (enc_block(7, 4), enc_block(4, 4), enc_block(4, 4))
-        dense = bev_encode(mixed, base, blocks)
-        sizes = []
-        conv_pixels = rcbev.nn._conv_pixels
-
-        def counted(x, mask):
-            pixels, background = conv_pixels(x, mask)
-            sizes.append(len(pixels))
-            return pixels, background
-
-        monkeypatch.setattr(rcbev.nn, "_conv_pixels", counted)
-        assert bev_encode(mixed, base, blocks, live=live).data.tobytes() == dense.data.tobytes()
+        self.assert_encode_matches_oracle(mixed, base, blocks, monkeypatch)
         # each of the 3 convs skips the background, unless the grid has none
         full = LIVE_SPEC.h * LIVE_SPEC.w
-        assert len(sizes) == 3 and all((n == full) == (where == "covered") for n in sizes)
+        assert len(conv_pixels) == 3 and all((n == full) == (where == "covered") for n in conv_pixels)
 
-    def test_negative_zero_is_live(self):
-        data = np.zeros((2, 3, 4))
-        data[1, 2, 1] = -0.0
-        live = live_pixels(BevGrid(data, BevSpec.from_extent(0.0, 4.0, 0.0, 3.0, 1.0)))
-        assert np.array_equal(np.flatnonzero(live), [9])
-
-    def test_negative_zero_background_matches_dense(self):
-        # a mixed feature whose background holds -0.0, next to +0.0 padding
-        mixed, base, live = self.encoder_inputs(LIVE_POINTS["edges"], ScatterConfig(0.05, 2.0))
-        mixed.data[:, ~live] = -0.0
+    def test_negative_zero_background_matches_dense(self, monkeypatch, conv_pixels):
+        # a mixed feature whose background holds -0.0, next to +0.0 padding;
+        # the corner pixel is far from every point, so it holds the background
+        mixed, base = self.encoder_inputs(LIVE_POINTS["edges"], ScatterConfig(0.05, 2.0))
+        mixed.data[:, (mixed.data == mixed.data[:, :1, :1]).all(axis=0)] = -0.0
         blocks = (enc_block(7, 4), enc_block(4, 4))
-        dense = bev_encode(mixed, base, blocks)
-        assert bev_encode(mixed, base, blocks, live=live).data.tobytes() == dense.data.tobytes()
+        self.assert_encode_matches_oracle(mixed, base, blocks, monkeypatch)
+        assert len(conv_pixels) == 2 and all(n < LIVE_SPEC.h * LIVE_SPEC.w for n in conv_pixels)
 
 
 class TestGridFile:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rcbev.fusion
 from rcbev import oracles
 from rcbev.bev import BevGrid, BevSpec, CbrBlockParams, bev_encode, cbr_residual, encoder_schema
 from rcbev.errors import ConfigError, ShapeError
@@ -222,6 +223,19 @@ class TestCrossAlign:
             identity_deform(2), identity_deform(2),
         )
         with pytest.raises(ShapeError):
+            cross_align(f_c, f_r, params)
+
+    def test_extent_mismatch_rejected_before_attention(self, monkeypatch):
+        # same 4 x 4 size, grids 4 m apart: rejected before any attention runs
+        f_c = BevGrid(np.zeros((2, 4, 4)), spec_of(4, 4))
+        f_r = BevGrid(np.zeros((2, 4, 4)), BevSpec.from_extent(4.0, 8.0, 0.0, 4.0, 1.0))
+        params = AlignParams(np.zeros((2, 4, 4)), np.zeros((2, 4, 4)), identity_deform(2), identity_deform(2))
+
+        def no_attention(*args):
+            raise AssertionError("deform_attn ran on mismatched grids")
+
+        monkeypatch.setattr(rcbev.fusion, "deform_attn", no_attention)
+        with pytest.raises(ShapeError, match="differ"):
             cross_align(f_c, f_r, params)
 
 

@@ -201,25 +201,6 @@ class TestConv3x3:
         with pytest.raises(ShapeError):
             conv3x3(np.ones((2, 4, 4)), np.ones((1, 3, 3, 3)), np.zeros(1))
 
-    def test_live_mask_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            conv3x3(np.ones((1, 4, 4)), np.ones((1, 1, 3, 3)), np.zeros(1), live=np.ones((4, 5), bool))
-
-
-def whole_grid_conv3x3(x, kernels, bias):
-    """The whole-grid im2col conv that preceded the pixel-block kernel, kept
-    verbatim as the bit pattern the block kernel must reproduce."""
-    c_in, h, w = x.shape
-    xp = np.zeros((c_in, h + 2, w + 2))
-    xp[:, 1 : 1 + h, 1 : 1 + w] = x
-    # im2col: 9 shifted views stacked along a patch axis, then one contraction
-    cols = np.empty((c_in, 3, 3, h, w))
-    for dy in range(3):
-        for dx in range(3):
-            cols[:, dy, dx] = xp[:, dy : dy + h, dx : dx + w]
-    out = np.einsum("oiyx,iyxhw->ohw", kernels, cols, optimize=False)
-    return out + bias[:, None, None]
-
 
 def random_conv(c_in, c_out, h, w):
     return (
@@ -229,9 +210,28 @@ def random_conv(c_in, c_out, h, w):
     )
 
 
+def sparse_input(points, c=3, h=9, w=11, background=(0.4, -1.5, 0.0)):
+    """A C x H x W grid holding one background vector, with random pixels at
+    the (y, x) ``points``."""
+    x = np.empty((c, h, w))
+    x[:] = np.asarray(background)[:, None, None]
+    for y, xx in points:
+        x[:, y, xx] = rng.standard_normal(c)
+    return x
+
+
+def pixels_near(points, h, w):
+    """The pixels a conv over a sparse_input must compute: those within one
+    pixel of a point or on the grid's border, plus one background pixel."""
+    near = {(y + dy, x + dx) for y, x in points for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
+    border = {(y, x) for y in range(h) for x in range(w) if y in (0, h - 1) or x in (0, w - 1)}
+    n = len({(y, x) for y, x in near | border if 0 <= y < h and 0 <= x < w})
+    return n + (n < h * w)
+
+
 class TestConvBlocks:
-    """The pixel-block kernel is bit-identical to the whole-grid one, and
-    the live-mask path to the dense path."""
+    """The pixel-block kernel is bit-identical to the whole-grid im2col, and
+    computes only the pixels whose window is not all background."""
 
     @pytest.mark.parametrize(
         "c_in, c_out, h, w",
@@ -246,25 +246,13 @@ class TestConvBlocks:
     )
     def test_blocks_match_whole_grid(self, c_in, c_out, h, w):
         x, k, b = random_conv(c_in, c_out, h, w)
-        assert np.array_equal(conv3x3(x, k, b), whole_grid_conv3x3(x, k, b))
+        assert np.array_equal(conv3x3(x, k, b), oracles.whole_grid_conv3x3(x, k, b))
 
     @staticmethod
-    def assert_live_matches_dense(x, live, c_out=3):
+    def assert_matches_oracle(x, c_out=3):
         k, b = rng.standard_normal((c_out, x.shape[0], 3, 3)), rng.standard_normal(c_out)
-        dense = conv3x3(x, k, b)
-        assert np.array_equal(dense, whole_grid_conv3x3(x, k, b))
-        got = conv3x3(x, k, b, live=live)
-        assert got.tobytes() == dense.tobytes()  # bits, so -0.0 and +0.0 differ
-
-    @staticmethod
-    def sparse_input(points, c=3, h=9, w=11, background=(0.4, -1.5, 0.0)):
-        x = np.empty((c, h, w))
-        x[:] = np.asarray(background)[:, None, None]
-        live = np.zeros((h, w), bool)
-        for y, xx in points:
-            x[:, y, xx] = rng.standard_normal(c)
-            live[y, xx] = True
-        return x, live
+        got = conv3x3(x, k, b)
+        assert got.tobytes() == oracles.whole_grid_conv3x3(x, k, b).tobytes()  # bits, so -0.0 and +0.0 differ
 
     @pytest.mark.parametrize(
         "points",
@@ -274,29 +262,41 @@ class TestConvBlocks:
             [(4, 5), (4, 6)],  # interior only
         ],
     )
-    def test_live_points(self, points):
-        self.assert_live_matches_dense(*self.sparse_input(points))
+    def test_live_points(self, points, conv_pixels):
+        self.assert_matches_oracle(sparse_input(points))
+        assert conv_pixels == [pixels_near(points, 9, 11)] and conv_pixels[0] < 9 * 11
 
-    def test_all_background(self):
-        self.assert_live_matches_dense(*self.sparse_input([]))
+    def test_all_background(self, conv_pixels):
+        self.assert_matches_oracle(sparse_input([]))
+        assert conv_pixels == [2 * 9 + 2 * 11 - 4 + 1]  # the border ring and one background pixel
 
-    def test_no_background(self):
-        x = rng.standard_normal((2, 6, 7))
-        self.assert_live_matches_dense(x, np.ones((6, 7), bool))
+    def test_no_background(self, conv_pixels):
+        self.assert_matches_oracle(rng.standard_normal((2, 6, 7)))
+        assert conv_pixels == [6 * 7]
 
-    def test_negative_zero_background(self):
+    def test_negative_zero_background(self, conv_pixels):
         # background -0.0 in every channel, against the +0.0 zero padding
-        self.assert_live_matches_dense(*self.sparse_input([(2, 3)], background=(-0.0, -0.0, -0.0)))
-        # a -0.0 outside the mask in a +0.0 background is found by its bits
-        x, live = self.sparse_input([(2, 3)], background=(0.0, 0.0, 0.0))
+        self.assert_matches_oracle(sparse_input([(2, 3)], background=(-0.0, -0.0, -0.0)))
+        # one -0.0 in a +0.0 background differs in its bits, so it is live
+        x = sparse_input([(2, 3)], background=(0.0, 0.0, 0.0))
         x[1, 6, 6] = -0.0
-        self.assert_live_matches_dense(x, live)
+        self.assert_matches_oracle(x)
+        assert conv_pixels == [pixels_near([(2, 3)], 9, 11), pixels_near([(2, 3), (6, 6)], 9, 11)]
 
-    def test_wrong_mask_still_dense_result(self):
-        # pixels outside the mask that differ from the background join it
-        x, _ = self.sparse_input([(1, 1), (5, 9), (8, 3)])
-        self.assert_live_matches_dense(x, np.zeros(x.shape[1:], bool))
-        self.assert_live_matches_dense(rng.standard_normal((2, 5, 6)), np.zeros((5, 6), bool))
+    def test_live_background_nominee_computes_densely(self, conv_pixels):
+        # the first pixel is one ulp off the background in two channels but
+        # shares its bit sum, the key the background is nominated by, so the
+        # nominee is live and every other pixel differs from it
+        x = sparse_input([(4, 5), (7, 2)])
+        bits = x.view(np.int64)
+        bits[0, 0, 0] += 1
+        bits[1, 0, 0] -= 1
+        self.assert_matches_oracle(x)
+        # a live pixel holding the background's channel-0 value does not mislead it
+        x = sparse_input([(4, 5), (7, 2)])
+        x[1, 0, 0] = 7.0
+        self.assert_matches_oracle(x)
+        assert conv_pixels == [9 * 11, pixels_near([(0, 0), (4, 5), (7, 2)], 9, 11)]
 
     def test_peak_memory_of_one_conv(self):
         x, k, b = random_conv(64, 64, 128, 128)

@@ -1,4 +1,6 @@
 import hashlib
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,6 @@ from rcbev.weights import init_weights, save_weights
 
 def small_cfg(**kw):
     base = tiny_pipeline_config()
-    from dataclasses import replace
-
     return replace(base, **kw) if kw else base
 
 
@@ -198,7 +198,6 @@ class TestRunPipeline:
         assert np.all(np.isfinite(out.fused.data))
 
     def test_scatter_count_matches_oracle(self):
-        from dataclasses import replace
         from rcbev import oracles
         from rcbev.bev import scatter_radius, to_pixel
         from rcbev.ingest import ClusterSpec
@@ -247,8 +246,6 @@ class TestRunPipeline:
         ws = init_weights(model_tensors(cfg), cfg.seed)
         path = tmp_path / "w.json"
         save_weights(ws, path)
-        from dataclasses import replace
-
         out_seeded, _ = run_pipeline(cfg)
         out_loaded, _ = run_pipeline(replace(cfg, weights_path=str(path)))
         assert checksum(out_seeded.fused.data) == checksum(out_loaded.fused.data)
@@ -285,6 +282,16 @@ class TestRunPipeline:
             assert stage in names
         assert all(s.ms >= 0 for s in report.stages)
         assert {g.name for g in report.grids} == {"f_rcs", "radar_bev", "fused"}
+
+    @pytest.mark.parametrize("enc_blocks", [1, 2])
+    def test_encoder_convs_skip_background_fuse_convs_do_not(self, enc_blocks, conv_pixels):
+        # the golden run, and one more encoder block whose conv reads a block output
+        cfg = replace(tiny_pipeline_config(), enc_blocks=enc_blocks)
+        run_pipeline(cfg, cloud=load_point_cloud(Path(__file__).parent / "data" / "golden_scene.csv"))
+        full = cfg.bev.h * cfg.bev.w
+        encoder, fuse = conv_pixels[:enc_blocks], conv_pixels[enc_blocks:]
+        assert len(fuse) == cfg.fuse_blocks + 1, conv_pixels
+        assert all(0 < n < full for n in encoder) and all(n == full for n in fuse), conv_pixels
 
 
 def write_tiny_config(path, seed=5):
@@ -380,9 +387,23 @@ class TestCli:
         assert rc == 1
         assert "align" in capsys.readouterr().err
 
-    def test_manifest_of_other_config_rejected(self, tmp_path, capsys):
-        from dataclasses import replace
+    def test_fuse_extent_mismatch_fails_in_align(self, tmp_path, capsys):
+        # same 16 x 16 size, extents [-8, 8) and [0, 16): align rejects them
+        cfg_path = tmp_path / "cfg.txt"
+        write_tiny_config(cfg_path)
+        from rcbev.bev import BevGrid
 
+        a = tmp_path / "a.bevgrid"
+        b = tmp_path / "b.bevgrid"
+        rng = np.random.default_rng(0)
+        save_grid(BevGrid(rng.standard_normal((8, 16, 16)), BevSpec.from_extent(-8, 8, -8, 8, 1.0)), a)
+        save_grid(BevGrid(rng.standard_normal((8, 16, 16)), BevSpec.from_extent(0, 16, 0, 16, 1.0)), b)
+        rc = cli_main(["fuse", str(a), str(b), "--config", str(cfg_path), "--out", str(tmp_path / "f.bevgrid")])
+        assert rc == 1
+        assert "stage 'align'" in capsys.readouterr().err
+        assert not (tmp_path / "f.bevgrid").exists()
+
+    def test_manifest_of_other_config_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         write_tiny_config(cfg_path)
         bigger = replace(tiny_pipeline_config(), fuse_blocks=4, enc_blocks=2)
