@@ -161,7 +161,8 @@ def dmsa_weights(q: np.ndarray, k: np.ndarray, d2: Optional[np.ndarray], beta: f
     n, d = q.shape
     if k.shape != (n, d) or (d2 is not None and np.shape(d2) != (n, n)):
         raise ShapeError(f"dmsa shapes disagree: q {q.shape}, k {k.shape}, d2 {np.shape(d2)}")
-    logits = np.einsum("id,jd->ij", q, k, optimize=False) / math.sqrt(d)
+    logits = np.einsum("id,jd->ij", q, k, optimize=False)
+    logits /= math.sqrt(d)
     if d2 is not None:
         logits -= beta * as_f64(d2)
     return softmax(logits, axis=1)

@@ -9,6 +9,8 @@ then produces the radar BEV feature. The same stack, bev_encode, fuses the
 aligned camera and radar grids in fusion. In every conv, pixels whose window
 is all background, compared by bits, take one computed output, so the radar
 grid, which the points leave mostly empty, is convolved only near its points.
+Each CBR block applies its batch norm, ReLU and skip add in place on the conv
+output, so a block holds one output-sized array beyond its input.
 
 Coverage is decided once per call, in a footprint table of (point, pixel, d2)
 entries ordered by point that the scatter and the Gaussian map both read. Sums
@@ -29,7 +31,7 @@ from .errors import (
     ConfigError, DataError, FormatError, ShapeError, read_file, require_finite, require_finite_fields, require_inside,
 )
 from .ingest import PointFeatureSet
-from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3, mlp, relu
+from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3, mlp
 from .weights import TensorSource, INIT_GLOROT, INIT_ONES, INIT_ZEROS, linear_schema
 
 GRID_MAGIC = b"BEVG"
@@ -248,11 +250,19 @@ def project_1x1(x: np.ndarray, proj: tuple[np.ndarray, np.ndarray] | None) -> np
     if proj is None:
         return x
     w, b = proj
-    return np.einsum("kc,chw->khw", as_f64(w), as_f64(x), optimize=False) + as_f64(b)[:, None, None]
+    y = np.einsum("kc,chw->khw", as_f64(w), as_f64(x), optimize=False)
+    y += as_f64(b)[:, None, None]
+    return y
 
 
 def cbr_residual(x: np.ndarray, p: CbrBlockParams) -> np.ndarray:
-    return relu(batch_norm_2d(conv3x3(x, p.conv_w, p.conv_b), p.bn)) + project_1x1(x, p.proj)
+    """relu(batch_norm(conv3x3(x))) + skip(x), the batch norm, ReLU and skip
+    add applied in place on the conv output."""
+    y = conv3x3(x, p.conv_w, p.conv_b)
+    batch_norm_2d(y, p.bn, out=y)
+    np.maximum(y, 0.0, out=y)
+    y += project_1x1(x, p.proj)
+    return y
 
 
 def cbr_stack_schema(

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
 from .bench import run_bench
-from .bev import load_grid, save_grid
+from .bev import BevGrid, BevSpec, load_grid, save_grid
 from .config import PipelineConfig, load_config
-from .errors import PipelineError, RcbevError
+from .errors import PipelineError, RcbevError, ShapeError
 from .ingest import save_point_cloud, save_point_cloud_binary, synth_scene
 from .pipeline import (
     RunReport,
@@ -80,12 +80,29 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _load_input(path: str, spec: BevSpec, channels_key: str, channels: int) -> BevGrid:
+    """The grid file ``path``, which must have the config's grid spec and
+    channel count; a mismatch raises a ShapeError naming the config key."""
+    grid = load_grid(path)
+    for f in fields(BevSpec):
+        got, want = getattr(grid.spec, f.name), getattr(spec, f.name)
+        if got != want:
+            raise ShapeError(f"{path}: grid has bev.{f.name} = {got}, config has {want}")
+    if grid.channels != channels:
+        raise ShapeError(f"{path}: grid has {grid.channels} channels, config has {channels_key} = {channels}")
+    return grid
+
+
 def cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     out_path = _require_out(args)
     report = RunReport()
-    radar = report.run("load-radar", lambda: load_grid(args.radar_grid))
-    camera = report.run("load-camera", lambda: load_grid(args.camera_grid))
+    radar = report.run(
+        "load-radar", lambda: _load_input(args.radar_grid, cfg.bev, "enc.channels", cfg.radar_channels)
+    )
+    camera = report.run(
+        "load-camera", lambda: _load_input(args.camera_grid, cfg.bev, "cam.channels", cfg.cam_channels)
+    )
     params = report.run("weights", lambda: load_model(cfg))
     _, _, fused = fusion_branch(camera, radar, params.fusion, report)
     save_grid(fused, out_path)

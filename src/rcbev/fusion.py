@@ -4,8 +4,10 @@ Camera and radar BEV features are first aligned bidirectionally: each modality
 forms one query per pixel and samples the other modality at K learned
 fractional offsets per head (bilinear, zero-padded), weighted by per-head
 softmax attention. Both updates are residual and computed from the pre-update
-inputs. The aligned features are then fused by the radar encoder's residual
-conv3x3 + batch-norm + ReLU stack, bev.bev_encode.
+inputs. Queries run in blocks of QUERY_BLOCK pixels, and the output
+accumulates in C x H*W layout, so no H*W-row temporary is built. The aligned
+features are then fused by the radar encoder's residual conv3x3, batch-norm
+and ReLU stack, bev.bev_encode.
 """
 
 from __future__ import annotations
@@ -95,20 +97,24 @@ def _sample_pool(flat: np.ndarray, h: int, w: int, uv: np.ndarray, attn: np.ndar
     return acc
 
 
-def _query_rows(queries: np.ndarray, p: DeformAttnParams) -> tuple[np.ndarray, np.ndarray]:
-    """The query rows (H*W x C, through the adapter when there is one) and
-    their attention weights (H*W x M x K), softmaxed over K per head."""
-    cq, h, w = queries.shape
-    z = np.ascontiguousarray(queries.reshape(cq, h * w).T)
+def _query_rows(cols: np.ndarray, p: DeformAttnParams) -> tuple[np.ndarray, np.ndarray]:
+    """The query rows of the C x Q query columns ``cols`` (Q x C, through the
+    adapter when there is one) and their attention weights (Q x M x K),
+    softmaxed over K per head."""
+    z = np.ascontiguousarray(cols.T)
     if p.adapt is not None:
         z = contract(z, p.adapt[0]) + p.adapt[1]
-    logits = (contract(z, p.w_att) + p.b_att).reshape(h * w, p.m, p.k)
+    logits = (contract(z, p.w_att) + p.b_att).reshape(len(z), p.m, p.k)
     return z, softmax(logits, axis=2)
 
 
 def deform_attn_weights(queries: np.ndarray, p: DeformAttnParams) -> np.ndarray:
     """Per-query attention weights (H*W x M x K), softmaxed over K per head."""
-    return _query_rows(as_f64(queries), p)[1]
+    queries = as_f64(queries)
+    return _query_rows(queries.reshape(len(queries), -1), p)[1]
+
+
+QUERY_BLOCK = 2048  # queries per block: their rows, weights, offsets and samples stay small
 
 
 def deform_attn(
@@ -123,6 +129,8 @@ def deform_attn(
     Per head the K attention weights are a softmax of query-projected logits,
     offsets are query-projected pixel displacements, and sampling is
     zero-padded bilinear interpolation of the head-projected value grid.
+    Queries run in blocks of QUERY_BLOCK, each a pure function of its own
+    rows, so no H*W-row temporary is built beyond the head-projected values.
     """
     queries, values = as_f64(queries), as_f64(values)
     if queries.ndim != 3 or values.ndim != 3:
@@ -137,26 +145,25 @@ def deform_attn(
     ref = pixel_centers(h, w) if ref_points is None else as_f64(ref_points)
     if ref.shape != (n, 2):
         raise ShapeError(f"reference points {ref.shape}, expected ({n}, 2)")
-    # head-projected value grids in channels-last layout; queries are then
-    # processed in blocks so per-block temporaries stay cache-resident
+    # head-projected value grids in channels-last layout
     flats = [
         np.ascontiguousarray(
             np.einsum("dc,chw->dhw", p.w_val[m], values, optimize=False).transpose(1, 2, 0)
         ).reshape(n, -1)
         for m in range(p.m)
     ]
-    z, attn = _query_rows(queries, p)
-    out = np.zeros((n, cv))
-    block = 2048
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        offsets = (contract(z[s:e], p.w_off) + p.b_off).reshape(e - s, p.m, p.k, 2)
+    cols = queries.reshape(cq, n)
+    out = np.zeros((cv, n))
+    for s in range(0, n, QUERY_BLOCK):
+        e = min(s + QUERY_BLOCK, n)
+        z, attn = _query_rows(cols[:, s:e], p)
+        offsets = (contract(z, p.w_off) + p.b_off).reshape(e - s, p.m, p.k, 2)
         refc = ref[s:e]
         for m in range(p.m):
             uv = refc[:, None, :] + offsets[:, m]
-            pooled = _sample_pool(flats[m], h, w, uv, attn[s:e, m])
-            out[s:e] += contract(pooled, p.w_out[m])
-    return out.T.reshape(cv, h, w)
+            pooled = _sample_pool(flats[m], h, w, uv, attn[:, m])
+            out[:, s:e] += contract(pooled, p.w_out[m]).T
+    return out.reshape(cv, h, w)
 
 
 def cross_align(f_c: BevGrid, f_r: BevGrid, p: AlignParams) -> tuple[BevGrid, BevGrid]:
@@ -167,10 +174,10 @@ def cross_align(f_c: BevGrid, f_r: BevGrid, p: AlignParams) -> tuple[BevGrid, Be
     rad = add_pos_embed(f_r, p.pos_rad)
     cam_update = deform_attn(rad.data, None, cam.data, p.r2c)
     rad_update = deform_attn(cam.data, None, rad.data, p.c2r)
-    return (
-        BevGrid(cam.data + cam_update, f_c.spec),
-        BevGrid(rad.data + rad_update, f_r.spec),
-    )
+    # the residual adds, in place on the fresh position-embedded grids
+    cam.data += cam_update
+    rad.data += rad_update
+    return cam, rad
 
 
 # channel_spatial_fuse(aligned_cam, aligned_rad, blocks) is the encoder's CBR

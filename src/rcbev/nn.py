@@ -7,16 +7,21 @@ operands are given in, so results are bit-identical across runs and thread
 counts. Attention callers gather their keys in one canonical order
 (key_order) first, which makes them bit-identical under row permutations too.
 
-conv3x3 runs im2col on blocks of output pixels. Pixels whose window is all
+conv3x3 runs im2col on disjoint blocks of output pixels, gathered from the
+unpadded input, on one thread per usable CPU (einsum releases the GIL); each
+thread fills a patch buffer the caller allocated. Pixels whose window is all
 background, compared by bits, take one computed output, so a sparse input
 costs only the pixels near its live ones; the result has the bits of a dense
-whole-grid im2col.
+whole-grid im2col whatever the thread count. batch_norm_2d can write in
+place, and softmax allocates only its output.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -136,8 +141,10 @@ def layer_norm(x: np.ndarray, p: NormParams) -> np.ndarray:
     return (x - mean) / np.sqrt(var + p.eps) * p.scale + p.shift
 
 
-def batch_norm_2d(x: np.ndarray, p: NormParams) -> np.ndarray:
-    """Inference batch norm over a C x H x W array using stored statistics."""
+def batch_norm_2d(x: np.ndarray, p: NormParams, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Inference batch norm over a C x H x W array using stored statistics,
+    ((x - mean) * inv_std) * scale + shift, into ``out`` when given (x itself
+    for an in-place update), else into one new array."""
     x = as_f64(x)
     if x.ndim != 3:
         raise ShapeError(f"batch_norm_2d expects C x H x W, got {x.shape}")
@@ -148,20 +155,25 @@ def batch_norm_2d(x: np.ndarray, p: NormParams) -> np.ndarray:
         if arr.shape != (c,):
             raise ShapeError(f"batch_norm_2d {name} sized {arr.shape} does not match C={c}")
     inv = 1.0 / np.sqrt(as_f64(p.var) + p.eps)
-    return (x - as_f64(p.mean)[:, None, None]) * inv[:, None, None] * as_f64(p.scale)[
-        :, None, None
-    ] + as_f64(p.shift)[:, None, None]
+    y = np.subtract(x, as_f64(p.mean)[:, None, None], out=out)
+    y *= inv[:, None, None]
+    y *= as_f64(p.scale)[:, None, None]
+    y += as_f64(p.shift)[:, None, None]
+    return y
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted softmax; the denominator sums along ``axis`` in the
-    given order."""
+    given order. Allocates one array the size of x."""
     x = as_f64(x)
-    if not np.all(np.isfinite(x)):
+    peak = x.max(axis=axis, keepdims=True)
+    # a NaN or +inf reaches its row's max, a -inf the min (0.0 for an empty x)
+    if not (np.all(np.isfinite(peak)) and np.isfinite(x.min(initial=0.0))):
         raise DataError("softmax input contains non-finite values")
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.subtract(x, peak)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def max_pool_points(x: np.ndarray) -> np.ndarray:
@@ -187,6 +199,45 @@ def attend(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 CONV_BLOCK = 128  # output pixels per im2col block: C_in * 9 * 128 floats, 1.2 MB at C_in = 128
+
+
+def _workers() -> int:
+    """Threads a conv may run on: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_threads(jobs: int, workers: int, run: Callable[[int, int], None]) -> None:
+    """run(worker, job) once for each job in range(jobs), on ``workers``
+    threads that take the next job as they finish one. The calling thread is
+    worker 0; the others are joined before this returns. Once a job raises, no
+    worker starts another, and the first exception is raised here."""
+    lock = threading.Lock()
+    taken = [0]
+    errors: list[BaseException] = []
+
+    def worker(k: int) -> None:
+        try:
+            while True:
+                with lock:
+                    job = taken[0]
+                    taken[0] += 1
+                if job >= jobs or errors:
+                    return
+                run(k, job)
+        except BaseException as exc:  # re-raised in the caller once every thread has joined
+            errors.append(exc)
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            threads.append(threading.Thread(target=worker, args=(k,)))
+            threads[-1].start()
+        worker(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def _conv_reach(live: np.ndarray) -> np.ndarray:
@@ -231,10 +282,14 @@ def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     x: C_in x H x W, kernels: C_out x C_in x 3 x 3, bias: C_out; output
     spatial dims equal input dims.
 
-    im2col runs on blocks of CONV_BLOCK output pixels, each contracted by one
-    fixed-order einsum, so no whole-grid patch buffer is built. An output
-    pixel sums its C_in * 9 products in the same order whichever block holds
-    it, so the result is bit-identical to a whole-grid im2col.
+    im2col runs on disjoint blocks of at most CONV_BLOCK output pixels, each
+    gathered from the unpadded input, with its out-of-grid taps zeroed, and
+    contracted by one fixed-order einsum. An output pixel sums its C_in * 9
+    products in the same order whichever block holds it, so the result is
+    bit-identical to a whole-grid im2col. The blocks run on one thread per
+    CPU the process may use, at most one per block, the caller's among them;
+    each thread gathers into its own patch buffer, allocated here before any
+    thread starts, and writes its blocks' columns of the output.
 
     The input nominates its own background: the first pixel whose bit
     patterns, summed over channels, give the most common sum. Pixels equal to
@@ -255,22 +310,32 @@ def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     c_in, h, w = x.shape
     c_out = kernels.shape[0]
     pixels, background = _conv_pixels(x)
-    xp = np.zeros((c_in, h + 2, w + 2))
-    xp[:, 1 : 1 + h, 1 : 1 + w] = x
-    xp = xp.reshape(c_in, -1)
-    # flat offsets in xp of the 9 taps from a window's top-left corner, and
-    # each output pixel's corner; patch rows are ordered (c_in, dy, dx) like kernels
-    taps = (np.arange(3)[:, None] * (w + 2) + np.arange(3)).reshape(9, 1)
-    corner = pixels // w * (w + 2) + pixels % w
+    flat_x = x.reshape(c_in, h * w)
     flat_kernels = kernels.reshape(c_out, c_in * 9)
     n = len(pixels)
     out = np.empty((c_out, n))
-    for start in range(0, n, CONV_BLOCK):
-        # the last block overlaps the one before it: a one-pixel block would
-        # make einsum reduce in another order and change the bits
-        start = max(min(start, n - CONV_BLOCK), 0)
-        cols = xp[:, taps + corner[start : start + CONV_BLOCK]].reshape(c_in * 9, -1)
-        out[:, start : start + CONV_BLOCK] = np.einsum("ok,kp->op", flat_kernels, cols, optimize=False)
+    # as few blocks as hold CONV_BLOCK pixels each, widths differing by at most
+    # one, so none is one pixel wide unless n is: einsum would reduce it in
+    # another order and change the bits
+    blocks = -(-n // CONV_BLOCK)
+    bounds = [n * j // blocks for j in range(blocks + 1)]
+    workers = min(_workers(), blocks)
+    patches = [np.empty(c_in * 9 * min(CONV_BLOCK, n)) for _ in range(workers)]
+    shift = np.arange(-1, 2)
+
+    def run(worker: int, job: int) -> None:
+        start, stop = bounds[job], bounds[job + 1]
+        # each pixel's 9 taps, rows ordered (dy, dx) and so patch rows (c_in, dy, dx) like kernels
+        py, px = np.divmod(pixels[start:stop], w)
+        ty, tx = py + shift[:, None, None], px + shift[None, :, None]
+        inside = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
+        cols = patches[worker][: c_in * 9 * (stop - start)].reshape(c_in, 3, 3, stop - start)
+        np.take(flat_x, np.clip(ty, 0, h - 1) * w + np.clip(tx, 0, w - 1), axis=1, out=cols, mode="clip")
+        if not inside.all():
+            cols[:, ~inside] = 0.0
+        np.einsum("ok,kp->op", flat_kernels, cols.reshape(c_in * 9, -1), out=out[:, start:stop], optimize=False)
+
+    _in_threads(blocks, workers, run)
     out += bias[:, None]
     if background is not None:
         full = np.repeat(out[:, background : background + 1], h * w, axis=1)

@@ -8,7 +8,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import rcbev.nn
 from rcbev import oracles
 from rcbev.backbone import (
     AttnHeadParams,
@@ -323,3 +325,11 @@ def test_criterion_9_golden_regression_and_selfcheck():
         fused_ok and radar_ok and rerun_ok and sc.passed and elapsed < 120.0,
         f"selfcheck {sum(r.passed for r in sc.results)}/{len(sc.results)} in {elapsed:.0f}s",
     )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_checksums_hold_on_any_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(rcbev.nn, "_workers", lambda: workers)
+    out, _ = run_pipeline(tiny_pipeline_config(), cloud=load_point_cloud(GOLDEN_SCENE))
+    assert checksum(out.fused.data) == GOLDEN_FUSED_CHECKSUM
+    assert checksum(out.radar_bev.data) == GOLDEN_RADAR_CHECKSUM

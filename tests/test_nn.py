@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import rcbev.nn
 from rcbev import oracles
 from rcbev.errors import ConfigError, DataError, EmptyInputError, ShapeError
 from rcbev.nn import (
@@ -149,6 +152,22 @@ class TestSoftmax:
         with pytest.raises(DataError):
             softmax(np.array([[np.inf, 0.0]]), axis=1)
 
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_negative_infinity_and_nan_rejected(self, bad):
+        # a -inf never reaches a row max, so the check cannot rest on the maxima alone
+        with pytest.raises(DataError):
+            softmax(np.array([[1.0, 2.0], [bad, 0.0]]), axis=1)
+
+    def test_empty_rows(self):
+        assert softmax(np.zeros((0, 4)), axis=1).shape == (0, 4)
+
+    def test_peak_memory_is_one_output(self):
+        # measured 1.01x: the output plus the row maxima and sums; 3.01x when
+        # the shifted logits, their exp and the quotient were separate arrays
+        x = rng.standard_normal((1024, 1024))
+        peak = traced_peak(lambda: softmax(x, axis=1))
+        assert peak < 1.1 * x.nbytes, f"peak {peak / 1e6:.1f} MB for an {x.nbytes / 1e6:.1f} MB output"
+
 
 class TestMaxPool:
     def test_column_max(self):
@@ -237,10 +256,10 @@ class TestConvBlocks:
         "c_in, c_out, h, w",
         [
             (3, 4, 7, 9),  # odd H and W, one block
-            (1, 5, 11, 45),  # C_in = 1; 495 pixels: blocks split rows, the last overlaps
+            (1, 5, 11, 45),  # C_in = 1; 495 pixels: blocks split rows
             (2, 3, 1, 1),  # a 1 x 1 grid
             (4, 2, 5, 7),  # smaller than one block
-            (8, 8, 1, CONV_BLOCK + 1),  # one pixel past a block: the last block overlaps
+            (8, 8, 1, CONV_BLOCK + 1),  # one pixel past a block: two blocks, neither one pixel wide
             (6, 5, 3, 128),  # 128-wide rows, each one block
         ],
     )
@@ -298,16 +317,97 @@ class TestConvBlocks:
         self.assert_matches_oracle(x)
         assert conv_pixels == [9 * 11, pixels_near([(0, 0), (4, 5), (7, 2)], 9, 11)]
 
-    def test_peak_memory_of_one_conv(self):
+    def test_peak_memory_of_one_conv(self, monkeypatch):
+        # measured 1.17x with 2 workers (each adds its C_in * 9 * CONV_BLOCK
+        # patch buffer, 0.07x here); 2.27x before patches were gathered from
+        # the unpadded input into caller-owned buffers
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda: 2)
         x, k, b = random_conv(64, 64, 128, 128)
         out_bytes = 64 * 128 * 128 * 8
-        tracemalloc.start()
+        peak = traced_peak(lambda: conv3x3(x, k, b))
+        assert peak < 1.5 * out_bytes, f"peak {peak / 1e6:.1f} MB for an {out_bytes / 1e6:.1f} MB output"
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of the call fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def conv_input(n, sparse):
+    """A conv input whose conv3x3 computes exactly n pixels: a dense random
+    1 x n grid, or a mostly-background grid with its border ring, at most one
+    live point's window and one background pixel computed."""
+    if not sparse:
+        return rng.standard_normal((3, 1, n))
+    if n == 1:  # one background pixel, computed as the grid's border
+        return sparse_input([], h=1, w=1)
+    # the ring of an h x w grid is 2h + 2w - 4 pixels, a point's window 9 more
+    points = [(5, 5)] if n % 2 == 0 else []
+    h = 10
+    w = (n - 1 - 9 * len(points) + 4) // 2 - h
+    return sparse_input(points, h=h, w=w)
+
+
+class TestConvThreads:
+    """conv3x3 gives the same bits on any number of worker threads; a failing
+    block fails the call, and no thread outlives it."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 257])
+    def test_worker_count_does_not_move_bits(self, monkeypatch, conv_pixels, n, sparse):
+        x = conv_input(n, sparse)
+        k, b = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
+        want = oracles.whole_grid_conv3x3(x, k, b).tobytes()
+        blocks = -(-n // CONV_BLOCK)
+        for workers in (1, 2, 3, blocks + 5):
+            monkeypatch.setattr(rcbev.nn, "_workers", lambda workers=workers: workers)
+            assert conv3x3(x, k, b).tobytes() == want, workers
+        assert conv_pixels == [n] * 4
+
+    def test_many_workers_with_fast_thread_switches(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: a job
+        # taken twice or skipped would change the output
+        x, k, b = random_conv(2, 3, 40, 50)
+        want = oracles.whole_grid_conv3x3(x, k, b).tobytes()
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            conv3x3(x, k, b)
-            _, peak = tracemalloc.get_traced_memory()
+            for _ in range(5):
+                assert conv3x3(x, k, b).tobytes() == want
         finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * out_bytes, f"peak {peak / 1e6:.1f} MB for an {out_bytes / 1e6:.1f} MB output"
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_block_fails_the_call(self, monkeypatch, workers):
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda: workers)
+        einsum, lock, calls = np.einsum, threading.Lock(), []
+
+        def second_block_fails(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                if len(calls) == 2:
+                    raise ArithmeticError("block failed")
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(rcbev.nn.np, "einsum", second_block_fails)
+        x, k, b = random_conv(2, 3, 3, 4 * CONV_BLOCK // 3)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match="block failed"):
+            conv3x3(x, k, b)
+        assert threading.active_count() == threads
+
+    def test_no_thread_outlives_a_conv(self, monkeypatch):
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda: 3)
+        threads = threading.active_count()
+        x, k, b = random_conv(2, 2, 16, 40)
+        conv3x3(x, k, b)
+        assert threading.active_count() == threads
 
 
 class TestBatchNorm:
@@ -320,6 +420,15 @@ class TestBatchNorm:
         x = np.full((1, 2, 2), 7.0)
         p = NormParams(np.ones(1), np.zeros(1), 1e-300, mean=np.array([5.0]), var=np.array([4.0]))
         assert np.allclose(batch_norm_2d(x, p), 1.0, atol=1e-12)
+
+    def test_in_place_matches_new_array(self):
+        x = rng.standard_normal((3, 4, 5))
+        p = NormParams(
+            rng.standard_normal(3), rng.standard_normal(3), 1e-5, mean=rng.standard_normal(3), var=rng.uniform(0.1, 2.0, 3)
+        )
+        want = batch_norm_2d(x, p)
+        assert batch_norm_2d(x, p, out=x) is x
+        assert x.tobytes() == want.tobytes()
 
     def test_negative_variance_rejected(self):
         with pytest.raises(DataError):

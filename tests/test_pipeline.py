@@ -385,23 +385,35 @@ class TestCli:
         save_grid(BevGrid(rng.standard_normal((8, 8, 8)), spec_small), b)
         rc = cli_main(["fuse", str(a), str(b), "--config", str(cfg_path), "--out", str(tmp_path / "f.bevgrid")])
         assert rc == 1
-        assert "align" in capsys.readouterr().err
+        assert "stage 'load-camera'" in capsys.readouterr().err
 
-    def test_fuse_extent_mismatch_fails_in_align(self, tmp_path, capsys):
-        # same 16 x 16 size, extents [-8, 8) and [0, 16): align rejects them
+    @pytest.mark.parametrize(
+        "which, extent, channels, field",
+        [
+            ("camera", (0, 16, 0, 16), 8, "bev.x_min"),  # same 16 x 16 size, extent [0, 16) under [-8, 8)
+            ("radar", (-8, 8, -8, 7), 8, "bev.y_max"),
+            ("radar", (-8, 8, -8, 8), 4, "enc.channels"),
+            ("camera", (-8, 8, -8, 8), 16, "cam.channels"),
+        ],
+        ids=["camera-x_min", "radar-y_max", "radar-channels", "camera-channels"],
+    )
+    def test_fuse_input_mismatch_fails_in_its_load_stage(self, tmp_path, capsys, which, extent, channels, field):
         cfg_path = tmp_path / "cfg.txt"
         write_tiny_config(cfg_path)
         from rcbev.bev import BevGrid
 
-        a = tmp_path / "a.bevgrid"
-        b = tmp_path / "b.bevgrid"
         rng = np.random.default_rng(0)
-        save_grid(BevGrid(rng.standard_normal((8, 16, 16)), BevSpec.from_extent(-8, 8, -8, 8, 1.0)), a)
-        save_grid(BevGrid(rng.standard_normal((8, 16, 16)), BevSpec.from_extent(0, 16, 0, 16, 1.0)), b)
-        rc = cli_main(["fuse", str(a), str(b), "--config", str(cfg_path), "--out", str(tmp_path / "f.bevgrid")])
+        paths = {name: tmp_path / f"{name}.bevgrid" for name in ("radar", "camera")}
+        for name, path in paths.items():
+            spec = BevSpec.from_extent(*(extent if name == which else (-8, 8, -8, 8)), 1.0)
+            c = channels if name == which else 8
+            save_grid(BevGrid(rng.standard_normal((c, spec.h, spec.w)), spec), path)
+        out = tmp_path / "f.bevgrid"
+        rc = cli_main(["fuse", str(paths["radar"]), str(paths["camera"]), "--config", str(cfg_path), "--out", str(out)])
         assert rc == 1
-        assert "stage 'align'" in capsys.readouterr().err
-        assert not (tmp_path / "f.bevgrid").exists()
+        err = capsys.readouterr().err
+        assert f"stage 'load-{which}'" in err and field in err, err
+        assert not out.exists()
 
     def test_manifest_of_other_config_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
