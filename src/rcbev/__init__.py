@@ -16,7 +16,6 @@ from .backbone import (
     inject,
     extract,
     multi_head_dmsa,
-    pairwise_sq_dist,
     point_block,
     transformer_block,
 )

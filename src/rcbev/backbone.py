@@ -13,6 +13,10 @@ Both attentions gather their keys in one canonical order (nn.key_order) and
 reduce them in that order; queries keep their input order and every query row
 is computed on its own. So all ops here are exactly equivariant under point
 permutations: a permuted input reaches every reduction with bit-identical keys.
+Because rows are independent, each head fills, softmaxes and applies its
+logits in blocks of query rows on nn's thread pool, with the bits of one
+whole-matrix pass; the distance penalty is computed per block from the
+coordinates, so no N x N distance matrix is built.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .nn import (
     as_f64,
     attend,
     contract,
+    in_attn_blocks,
     key_order,
     layer_norm,
     linear,
@@ -51,6 +56,9 @@ from .weights import (
 # ---------------------------------------------------------------------------
 # parameter bundles
 # ---------------------------------------------------------------------------
+
+Coords = tuple[np.ndarray, np.ndarray]  # (query, key) BEV coordinates, N x 2 each
+
 
 @dataclass(frozen=True)
 class AttnHeadParams:
@@ -144,36 +152,47 @@ def point_block(f: np.ndarray, p: MlpParams) -> np.ndarray:
     return np.concatenate([g, np.broadcast_to(pooled, g.shape)], axis=1)
 
 
-def pairwise_sq_dist(coords: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances in the BEV plane; symmetric zero-diagonal."""
-    coords = as_f64(coords)
-    if coords.ndim != 2 or coords.shape[1] != 2:
-        raise ShapeError(f"pairwise_sq_dist expects N x 2 coords, got {coords.shape}")
-    dx = coords[:, 0][:, None] - coords[:, 0][None, :]
-    dy = coords[:, 1][:, None] - coords[:, 1][None, :]
-    return dx * dx + dy * dy
+def dmsa_weights(q: np.ndarray, k: np.ndarray, xy: Optional[Coords], beta: float) -> np.ndarray:
+    """Row-stochastic softmax(QK^T / sqrt(d) - beta * D^2) over the rows of k,
+    where D^2[i, j] = dx * dx + dy * dy from the query coordinates xy[0][i]
+    to the key coordinates xy[1][j]; xy None leaves out the distance term.
 
-
-def dmsa_weights(q: np.ndarray, k: np.ndarray, d2: Optional[np.ndarray], beta: float) -> np.ndarray:
-    """Row-stochastic softmax(QK^T / sqrt(d) - beta * D^2) over the rows of k;
-    d2 None leaves out the distance term."""
+    The logits are filled one block of query rows at a time, on nn's pool
+    (nn.in_attn_blocks), so no N x N distance matrix is built, then
+    softmaxed in place."""
     q, k = as_f64(q), as_f64(k)
     n, d = q.shape
-    if k.shape != (n, d) or (d2 is not None and np.shape(d2) != (n, n)):
-        raise ShapeError(f"dmsa shapes disagree: q {q.shape}, k {k.shape}, d2 {np.shape(d2)}")
-    logits = np.einsum("id,jd->ij", q, k, optimize=False)
-    logits /= math.sqrt(d)
-    if d2 is not None:
-        logits -= beta * as_f64(d2)
-    return softmax(logits, axis=1)
+    shapes = None if xy is None else tuple(np.shape(c) for c in xy)
+    if k.shape != (n, d) or shapes not in (None, ((n, 2), (n, 2))):
+        raise ShapeError(f"dmsa shapes disagree: q {q.shape}, k {k.shape}, coords {shapes}")
+    if xy is not None:
+        (qx, qy), (kx, ky) = (as_f64(c).T for c in xy)
+    logits = np.empty((n, n))
+    scale = math.sqrt(d)
+
+    def run(start: int, stop: int) -> None:
+        rows = logits[start:stop]
+        np.einsum("id,jd->ij", q[start:stop], k, out=rows, optimize=False)
+        rows /= scale
+        if xy is not None:
+            d2 = qx[start:stop, None] - kx
+            d2 *= d2
+            dy = qy[start:stop, None] - ky
+            dy *= dy
+            d2 += dy
+            d2 *= beta
+            rows -= d2
+
+    in_attn_blocks(n, n, run)
+    return softmax(logits, axis=1, out=logits)
 
 
 def dmsa_head(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, d2: Optional[np.ndarray], beta: float
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, xy: Optional[Coords], beta: float
 ) -> np.ndarray:
     """Softmax(QK^T / sqrt(d) - beta * D^2) V, with keys reduced in the given
-    order (rows of k and v, columns of d2); d2 None is plain scaled
-    dot-product attention.
+    order (rows of k and v, and of the key coordinates xy[1]); xy None is
+    plain scaled dot-product attention.
 
     The subtracted-logit form equals modulating with the Gaussian weight map
     exp(-D^2 * beta) in log space; beta = 0 reduces to vanilla attention.
@@ -183,18 +202,18 @@ def dmsa_head(
     v = as_f64(v)
     if v.shape[0] != q.shape[0]:
         raise ShapeError(f"values rows {v.shape} do not match queries {q.shape}")
-    return attend(dmsa_weights(q, k, d2, beta), v)
+    return attend(dmsa_weights(q, k, xy, beta), v)
 
 
 def _multi_head(
-    xq: np.ndarray, xkv: np.ndarray, p: MultiHeadDmsaParams, d2: Optional[np.ndarray] = None
+    xq: np.ndarray, xkv: np.ndarray, p: MultiHeadDmsaParams, xy: Optional[Coords] = None
 ) -> np.ndarray:
     """The heads of p, one dmsa_head each over its projections of the queries
     xq and the keys/values xkv (rows in key order), concatenated and projected
-    by (p.wo, p.bo). DMSA passes the distance columns d2; cross-attention
-    passes none."""
+    by (p.wo, p.bo). DMSA passes the query and key coordinates xy;
+    cross-attention passes none."""
     outs = [
-        dmsa_head(contract(xq, h.wq), contract(xkv, h.wk), contract(xkv, h.wv), d2, h.beta) for h in p.heads
+        dmsa_head(contract(xq, h.wq), contract(xkv, h.wk), contract(xkv, h.wv), xy, h.beta) for h in p.heads
     ]
     return linear(np.concatenate(outs, axis=1), p.wo, p.bo)
 
@@ -207,7 +226,7 @@ def multi_head_dmsa(f: np.ndarray, coords: np.ndarray, p: MultiHeadDmsaParams) -
     if p.wo.shape[1] != c:
         raise ConfigError(f"attention configured for C={p.wo.shape[1]}, input has C={c}")
     order = key_order(f, coords)
-    return _multi_head(f, f[order], p, pairwise_sq_dist(coords)[:, order])
+    return _multi_head(f, f[order], p, (coords, as_f64(coords)[order]))
 
 
 def transformer_block(f: np.ndarray, coords: np.ndarray, p: TransformerBlockParams) -> np.ndarray:

@@ -4,10 +4,10 @@ Camera and radar BEV features are first aligned bidirectionally: each modality
 forms one query per pixel and samples the other modality at K learned
 fractional offsets per head (bilinear, zero-padded), weighted by per-head
 softmax attention. Both updates are residual and computed from the pre-update
-inputs. Queries run in blocks of QUERY_BLOCK pixels, and the output
-accumulates in C x H*W layout, so no H*W-row temporary is built. The aligned
-features are then fused by the radar encoder's residual conv3x3, batch-norm
-and ReLU stack, bev.bev_encode.
+inputs. Queries run in blocks of at most QUERY_BLOCK pixels, as jobs on nn's
+thread pool, and each block writes its own columns of the C x H*W output, so
+no H*W-row temporary is built. The aligned features are then fused by the
+radar encoder's residual conv3x3, batch-norm and ReLU stack, bev.bev_encode.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .bev import BevGrid, CbrBlockParams, bev_encode, cbr_stack_schema
 from .errors import ConfigError, ShapeError
-from .nn import as_f64, contract, softmax
+from .nn import as_f64, contract, in_row_blocks, softmax
 from .weights import TensorSource, INIT_GLOROT, INIT_ZEROS, linear_schema
 
 
@@ -114,7 +114,7 @@ def deform_attn_weights(queries: np.ndarray, p: DeformAttnParams) -> np.ndarray:
     return _query_rows(queries.reshape(len(queries), -1), p)[1]
 
 
-QUERY_BLOCK = 2048  # queries per block: their rows, weights, offsets and samples stay small
+QUERY_BLOCK = 512  # queries per block: their rows, weights, offsets and samples stay small
 
 
 def deform_attn(
@@ -129,8 +129,11 @@ def deform_attn(
     Per head the K attention weights are a softmax of query-projected logits,
     offsets are query-projected pixel displacements, and sampling is
     zero-padded bilinear interpolation of the head-projected value grid.
-    Queries run in blocks of QUERY_BLOCK, each a pure function of its own
-    rows, so no H*W-row temporary is built beyond the head-projected values.
+    Queries run in blocks of at most QUERY_BLOCK, widths differing by at
+    most one, each a pure function of its own rows, as jobs on nn's thread
+    pool; each writes its own columns of the output. So no H*W-row temporary
+    is built beyond the head-projected values, and the bits do not depend on
+    the thread count.
     """
     queries, values = as_f64(queries), as_f64(values)
     if queries.ndim != 3 or values.ndim != 3:
@@ -154,15 +157,17 @@ def deform_attn(
     ]
     cols = queries.reshape(cq, n)
     out = np.zeros((cv, n))
-    for s in range(0, n, QUERY_BLOCK):
-        e = min(s + QUERY_BLOCK, n)
-        z, attn = _query_rows(cols[:, s:e], p)
-        offsets = (contract(z, p.w_off) + p.b_off).reshape(e - s, p.m, p.k, 2)
-        refc = ref[s:e]
+
+    def run(start: int, stop: int) -> None:
+        z, attn = _query_rows(cols[:, start:stop], p)
+        offsets = (contract(z, p.w_off) + p.b_off).reshape(stop - start, p.m, p.k, 2)
+        refc = ref[start:stop]
         for m in range(p.m):
             uv = refc[:, None, :] + offsets[:, m]
             pooled = _sample_pool(flats[m], h, w, uv, attn[:, m])
-            out[:, s:e] += contract(pooled, p.w_out[m]).T
+            out[:, start:stop] += contract(pooled, p.w_out[m]).T
+
+    in_row_blocks(n, QUERY_BLOCK, run)
     return out.reshape(cv, h, w)
 
 

@@ -7,13 +7,17 @@ operands are given in, so results are bit-identical across runs and thread
 counts. Attention callers gather their keys in one canonical order
 (key_order) first, which makes them bit-identical under row permutations too.
 
-conv3x3 runs im2col on disjoint blocks of output pixels, gathered from the
-unpadded input, on one thread per usable CPU (einsum releases the GIL); each
-thread fills a patch buffer the caller allocated. Pixels whose window is all
-background, compared by bits, take one computed output, so a sparse input
-costs only the pixels near its live ones; the result has the bits of a dense
-whole-grid im2col whatever the thread count. batch_norm_2d can write in
-place, and softmax allocates only its output.
+conv3x3, attend and softmax split their work into disjoint blocks (output
+pixels, or rows) and run them on one pool of threads, one per usable CPU
+(numpy releases the GIL), each block writing its own part of an output
+allocated before any thread starts. A pool job that calls another pool runs
+it on its own thread, so no more threads than CPUs are ever alive. Each
+output element is computed by the same operations in the same order
+whichever block holds it, so the bits do not depend on the thread count.
+conv3x3 gathers each block's im2col patches from the unpadded input into a
+patch buffer per thread; pixels whose window is all background, compared by
+bits, take one computed output, so a sparse input costs only the pixels near
+its live ones. batch_norm_2d and softmax can write in place.
 """
 
 from __future__ import annotations
@@ -162,18 +166,30 @@ def batch_norm_2d(x: np.ndarray, p: NormParams, out: Optional[np.ndarray] = None
     return y
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax(x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Max-subtracted softmax; the denominator sums along ``axis`` in the
-    given order. Allocates one array the size of x."""
+    given order. Writes into ``out`` when given (x itself for an in-place
+    update), else into one new array. Reducing over any axis but 0, it runs
+    on blocks of whole rows along axis 0 (in_attn_blocks)."""
     x = as_f64(x)
-    peak = x.max(axis=axis, keepdims=True)
-    # a NaN or +inf reaches its row's max, a -inf the min (0.0 for an empty x)
-    if not (np.all(np.isfinite(peak)) and np.isfinite(x.min(initial=0.0))):
-        raise DataError("softmax input contains non-finite values")
-    e = np.subtract(x, peak)
-    np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+    axis = range(x.ndim)[axis]  # as a non-negative index
+    out = np.empty_like(x) if out is None else out
+
+    def run(start: int, stop: int) -> None:
+        rows, e = x[start:stop], out[start:stop]
+        peak = rows.max(axis=axis, keepdims=True)
+        # a NaN or +inf reaches its row's max, a -inf the min (0.0 for no rows)
+        if not (np.all(np.isfinite(peak)) and np.isfinite(rows.min(initial=0.0))):
+            raise DataError("softmax input contains non-finite values")
+        np.subtract(rows, peak, out=e)
+        np.exp(e, out=e)
+        e /= e.sum(axis=axis, keepdims=True)
+
+    if axis:
+        in_attn_blocks(len(x), int(np.prod(x.shape[1:])), run)
+    else:
+        run(0, len(x))
+    return out
 
 
 def max_pool_points(x: np.ndarray) -> np.ndarray:
@@ -190,32 +206,46 @@ def attend(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Attention contraction out[i, c] = sum_j w[i, j] v[j, c].
 
     Keys j are reduced in the given order, one fixed-order einsum without
-    BLAS; callers that need permutation equivariance pass keys in key_order.
+    BLAS per block of query rows (in_attn_blocks); callers that need
+    permutation equivariance pass keys in key_order.
     """
     weights, values = as_f64(weights), as_f64(values)
     if weights.ndim != 2 or values.ndim != 2 or weights.shape[1] != values.shape[0]:
         raise ShapeError(f"attend: weights {weights.shape} vs values {values.shape}")
-    return np.einsum("ij,jc->ic", weights, values, optimize=False)
+    out = np.empty((len(weights), values.shape[1]))
+
+    def run(start: int, stop: int) -> None:
+        np.einsum("ij,jc->ic", weights[start:stop], values, out=out[start:stop], optimize=False)
+
+    in_attn_blocks(len(weights), weights.shape[1], run)
+    return out
 
 
 CONV_BLOCK = 128  # output pixels per im2col block: C_in * 9 * 128 floats, 1.2 MB at C_in = 128
+ATTN_BLOCK = 1 << 16  # entries per attention block: 512 KB, 75 rows of 864 logits
 
 
 def _workers() -> int:
-    """Threads a conv may run on: the CPUs this process may run on."""
+    """Threads a pool may run on: the CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+_pool = threading.local()  # _pool.busy: this thread is running pool jobs
 
 
 def _in_threads(jobs: int, workers: int, run: Callable[[int, int], None]) -> None:
     """run(worker, job) once for each job in range(jobs), on ``workers``
     threads that take the next job as they finish one. The calling thread is
-    worker 0; the others are joined before this returns. Once a job raises, no
+    worker 0; the others are joined before this returns. Called from inside a
+    pool job, it runs every job on that job's thread. Once a job raises, no
     worker starts another, and the first exception is raised here."""
     lock = threading.Lock()
     taken = [0]
     errors: list[BaseException] = []
+    nested = getattr(_pool, "busy", False)
 
     def worker(k: int) -> None:
+        _pool.busy = True
         try:
             while True:
                 with lock:
@@ -226,10 +256,12 @@ def _in_threads(jobs: int, workers: int, run: Callable[[int, int], None]) -> Non
                 run(k, job)
         except BaseException as exc:  # re-raised in the caller once every thread has joined
             errors.append(exc)
+        finally:
+            _pool.busy = nested
 
     threads = []
     try:
-        for k in range(1, workers):
+        for k in range(1, 1 if nested else min(workers, jobs)):
             threads.append(threading.Thread(target=worker, args=(k,)))
             threads[-1].start()
         worker(0)
@@ -238,6 +270,30 @@ def _in_threads(jobs: int, workers: int, run: Callable[[int, int], None]) -> Non
             t.join()
     if errors:
         raise errors[0]
+
+
+def _row_blocks(n: int, size: int) -> list[tuple[int, int]]:
+    """(start, stop) of as few disjoint blocks as cover range(n) with at most
+    ``size`` rows each, widths differing by at most one, so none is narrower
+    than size / 2 once n > size: einsum would reduce a one-pixel conv block
+    in another order."""
+    blocks = -(-n // size)
+    return [(n * j // blocks, n * (j + 1) // blocks) for j in range(blocks)]
+
+
+def in_row_blocks(n: int, size: int, run: Callable[[int, int], None]) -> None:
+    """run(start, stop) for each of _row_blocks(n, size), on the pool."""
+    blocks = _row_blocks(n, size)
+    _in_threads(len(blocks), _workers(), lambda _worker, job: run(*blocks[job]))
+
+
+def in_attn_blocks(n: int, entries: int, run: Callable[[int, int], None]) -> None:
+    """run(start, stop) on the pool for blocks of the n rows of an attention
+    matrix with ``entries`` entries a row, each block at most ATTN_BLOCK
+    entries (at least one row), so its logits stay in cache. A matrix of at
+    most ATTN_BLOCK entries is one block, run on the calling thread: at that
+    size a second thread costs more than it saves."""
+    in_row_blocks(n, max(1, ATTN_BLOCK // max(entries, 1)), run)
 
 
 def _conv_reach(live: np.ndarray) -> np.ndarray:
@@ -314,17 +370,13 @@ def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     flat_kernels = kernels.reshape(c_out, c_in * 9)
     n = len(pixels)
     out = np.empty((c_out, n))
-    # as few blocks as hold CONV_BLOCK pixels each, widths differing by at most
-    # one, so none is one pixel wide unless n is: einsum would reduce it in
-    # another order and change the bits
-    blocks = -(-n // CONV_BLOCK)
-    bounds = [n * j // blocks for j in range(blocks + 1)]
-    workers = min(_workers(), blocks)
+    blocks = _row_blocks(n, CONV_BLOCK)
+    workers = min(_workers(), len(blocks))
     patches = [np.empty(c_in * 9 * min(CONV_BLOCK, n)) for _ in range(workers)]
     shift = np.arange(-1, 2)
 
     def run(worker: int, job: int) -> None:
-        start, stop = bounds[job], bounds[job + 1]
+        start, stop = blocks[job]
         # each pixel's 9 taps, rows ordered (dy, dx) and so patch rows (c_in, dy, dx) like kernels
         py, px = np.divmod(pixels[start:stop], w)
         ty, tx = py + shift[:, None, None], px + shift[None, :, None]
@@ -335,7 +387,7 @@ def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
             cols[:, ~inside] = 0.0
         np.einsum("ok,kp->op", flat_kernels, cols.reshape(c_in * 9, -1), out=out[:, start:stop], optimize=False)
 
-    _in_threads(blocks, workers, run)
+    _in_threads(len(blocks), workers, run)
     out += bias[:, None]
     if background is not None:
         full = np.repeat(out[:, background : background + 1], h * w, axis=1)

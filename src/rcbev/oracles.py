@@ -59,9 +59,10 @@ def whole_grid_conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> 
     return out + bias[:, None, None]
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    e = np.exp(m - m.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax_rows(m: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis`` in one whole-array pass."""
+    e = np.exp(m - m.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -73,6 +74,15 @@ def dense_mha(f: np.ndarray, heads, wo: np.ndarray, bo: np.ndarray) -> np.ndarra
     """heads: list of (wq, wk, wv) with d x C projections."""
     parts = [dense_attention(f @ wq.T, f @ wk.T, f @ wv.T) for wq, wk, wv in heads]
     return np.concatenate(parts, axis=1) @ wo.T + bo
+
+
+def pairwise_sq_dist(coords: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances in the BEV plane, dx * dx + dy * dy, the
+    operations dmsa_weights applies per block; symmetric zero-diagonal."""
+    coords = np.asarray(coords, dtype=np.float64)
+    dx = coords[:, 0][:, None] - coords[:, 0][None, :]
+    dy = coords[:, 1][:, None] - coords[:, 1][None, :]
+    return dx * dx + dy * dy
 
 
 def dmsa_reference(f: np.ndarray, coords: np.ndarray, heads_with_beta, wo: np.ndarray, bo: np.ndarray) -> np.ndarray:

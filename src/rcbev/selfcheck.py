@@ -24,7 +24,6 @@ from .backbone import (
     dmsa_weights,
     inject,
     multi_head_dmsa,
-    pairwise_sq_dist,
     point_block,
     transformer_block,
 )
@@ -231,16 +230,15 @@ def check_dmsa_locality() -> tuple[float, str]:
     q = rng.standard_normal((n, d))
     k = rng.standard_normal((n, d))
     coords = rng.uniform(-10, 10, size=(n, 2))
-    d2 = pairwise_sq_dist(coords)
-    far = int(np.argmax(d2[0]))
+    far = int(np.argmax(oracles.pairwise_sq_dist(coords)[0]))
     prev = math.inf
     err = 0.0
     for beta in (0.0, 0.1, 1.0, 10.0, 1e9):
-        wgt = dmsa_weights(q, k, d2, beta)
+        wgt = dmsa_weights(q, k, (coords, coords), beta)
         if wgt[0, far] > prev + 1e-15:
             err = max(err, float(wgt[0, far] - prev))
         prev = wgt[0, far]
-    big = dmsa_weights(q, k, d2, 1e9)
+    big = dmsa_weights(q, k, (coords, coords), 1e9)
     err = max(err, _maxabs(big, np.eye(n)))
     return err, "farthest-key weight monotone; huge beta = self"
 

@@ -1,7 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 import rcbev.backbone
+import rcbev.fusion
 import rcbev.nn
+from rcbev.bev import BevSpec
+from rcbev.ingest import synth_scene
+from rcbev.selfcheck import tiny_pipeline_config
 
 
 @pytest.fixture
@@ -31,3 +37,17 @@ def conv_pixels(monkeypatch):
 
     monkeypatch.setattr(rcbev.nn, "_conv_pixels", counted)
     return sizes
+
+
+@pytest.fixture
+def multi_block_config():
+    """The tiny pipeline config on a 32 x 32 grid, two deformable query
+    blocks, with 480 points, four attention blocks; the tiny golden's
+    16 x 16 grid and 36 points fit in one block each."""
+    cfg = tiny_pipeline_config()
+    clusters = tuple(replace(c, n_points=120) for c in cfg.scene.clusters)
+    cfg = replace(cfg, bev=BevSpec.from_extent(-8.0, 8.0, -8.0, 8.0, 0.5), scene=replace(cfg.scene, clusters=clusters))
+    assert cfg.bev.h * cfg.bev.w > rcbev.fusion.QUERY_BLOCK
+    n = len(synth_scene(cfg.scene, cfg.seed))
+    assert n > 2 * (rcbev.nn.ATTN_BLOCK // n)
+    return cfg

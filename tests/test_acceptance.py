@@ -177,7 +177,10 @@ def test_criterion_4_deform_oracle():
     )
 
 
-def test_criterion_5_complexity_scaling():
+def test_criterion_5_complexity_scaling(monkeypatch):
+    # one worker: deform_attn runs 1 query block at 16 x 16 and 32 at 128 x 128,
+    # so a pool would fold its parallelism into the doubling ratios
+    monkeypatch.setattr(rcbev.nn, "_workers", lambda: 1)
     t0 = time.perf_counter()
     bench = run_bench()
     elapsed = time.perf_counter() - t0
@@ -325,6 +328,15 @@ def test_criterion_9_golden_regression_and_selfcheck():
         fused_ok and radar_ok and rerun_ok and sc.passed and elapsed < 120.0,
         f"selfcheck {sum(r.passed for r in sc.results)}/{len(sc.results)} in {elapsed:.0f}s",
     )
+
+
+def test_multi_block_run_holds_its_bits_on_any_worker_count(monkeypatch, multi_block_config):
+    fused = set()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda workers=workers: workers)
+        out, _ = run_pipeline(multi_block_config)
+        fused.add(checksum(out.fused.data))
+    assert len(fused) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])

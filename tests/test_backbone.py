@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rcbev.nn
 from rcbev import oracles
 from rcbev.backbone import (
     AttnHeadParams,
@@ -20,14 +21,13 @@ from rcbev.backbone import (
     extract,
     inject,
     multi_head_dmsa,
-    pairwise_sq_dist,
     point_block,
     transformer_block,
 )
 from rcbev.config import PipelineConfig, load_config
 from rcbev.errors import ConfigError, EmptyInputError, ShapeError, WeightLookupError
 from rcbev.ingest import PointFeatureSet
-from rcbev.nn import MlpLayer, MlpParams, NormParams, contract, identity_norm, key_order, layer_norm, mlp
+from rcbev.nn import ATTN_BLOCK, MlpLayer, MlpParams, NormParams, contract, identity_norm, key_order, layer_norm, mlp
 from rcbev.weights import WeightSet, init_weights, record_tensors
 
 rng = np.random.default_rng(7)
@@ -100,11 +100,11 @@ class TestPointBlock:
 
 class TestPairwiseSqDist:
     def test_three_four_five(self):
-        out = pairwise_sq_dist(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        out = oracles.pairwise_sq_dist(np.array([[0.0, 0.0], [3.0, 4.0]]))
         assert np.array_equal(out, [[0.0, 25.0], [25.0, 0.0]])
 
     def test_identical_points(self):
-        out = pairwise_sq_dist(np.ones((4, 2)))
+        out = oracles.pairwise_sq_dist(np.ones((4, 2)))
         assert np.array_equal(out, np.zeros((4, 4)))
 
     def test_matches_loop(self):
@@ -113,11 +113,11 @@ class TestPairwiseSqDist:
         for i in range(20):
             for j in range(20):
                 ref[i, j] = (coords[i, 0] - coords[j, 0]) ** 2 + (coords[i, 1] - coords[j, 1]) ** 2
-        assert np.abs(pairwise_sq_dist(coords) - ref).max() < 1e-9
+        assert np.abs(oracles.pairwise_sq_dist(coords) - ref).max() < 1e-9
 
     def test_symmetric_zero_diag(self):
         coords = rng.uniform(-5, 5, size=(15, 2))
-        d2 = pairwise_sq_dist(coords)
+        d2 = oracles.pairwise_sq_dist(coords)
         assert np.array_equal(d2, d2.T)
         assert np.array_equal(np.diag(d2), np.zeros(15))
 
@@ -126,14 +126,15 @@ class TestDmsaHead:
     def test_uniform_logits_average(self):
         q = k = np.array([[1.0], [1.0]])
         v = np.array([[2.0], [4.0]])
-        out = dmsa_head(q, k, v, np.zeros((2, 2)), 0.0)
+        out = dmsa_head(q, k, v, (np.zeros((2, 2)), np.zeros((2, 2))), 0.0)
         assert np.allclose(out, [[3.0], [3.0]], atol=1e-12)
 
     def test_distance_penalty_value(self):
         q = k = np.array([[1.0], [1.0]])
         v = np.array([[2.0], [4.0]])
-        d2 = np.array([[0.0, 4.0], [4.0, 0.0]])
-        out = dmsa_head(q, k, v, d2, 0.5)
+        # squared distances [[0, 4], [4, 0]]
+        coords = np.array([[0.0, 0.0], [2.0, 0.0]])
+        out = dmsa_head(q, k, v, (coords, coords), 0.5)
         # row 0 logits = [1, 1 - 2] -> softmax([1, -1]) . [2, 4]
         w0 = math.exp(1.0) / (math.exp(1.0) + math.exp(-1.0))
         expected = w0 * 2.0 + (1 - w0) * 4.0
@@ -145,34 +146,33 @@ class TestDmsaHead:
         q = rng.standard_normal((n, d))
         k = rng.standard_normal((n, d))
         v = rng.standard_normal((n, d))
-        d2 = pairwise_sq_dist(rng.uniform(-10, 10, size=(n, 2)))
-        out = dmsa_head(q, k, v, d2, 1e9)
+        coords = rng.uniform(-10, 10, size=(n, 2))
+        out = dmsa_head(q, k, v, (coords, coords), 1e9)
         assert np.array_equal(out, v)
 
     def test_beta_zero_equals_vanilla(self):
         n, d = 9, 4
         q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
-        d2 = pairwise_sq_dist(rng.uniform(-10, 10, size=(n, 2)))
-        assert np.abs(dmsa_head(q, k, v, d2, 0.0) - oracles.dense_attention(q, k, v)).max() < 1e-12
+        coords = rng.uniform(-10, 10, size=(n, 2))
+        assert np.abs(dmsa_head(q, k, v, (coords, coords), 0.0) - oracles.dense_attention(q, k, v)).max() < 1e-12
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigError):
-            dmsa_head(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)), np.zeros((2, 2)), -1.0)
+            dmsa_head(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)), (np.zeros((2, 2)), np.zeros((2, 2))), -1.0)
 
     def test_weights_row_stochastic(self):
         q, k = rng.standard_normal((12, 3)), rng.standard_normal((12, 3))
-        d2 = pairwise_sq_dist(rng.uniform(-5, 5, size=(12, 2)))
-        w = dmsa_weights(q, k, d2, 0.7)
+        coords = rng.uniform(-5, 5, size=(12, 2))
+        w = dmsa_weights(q, k, (coords, coords), 0.7)
         assert np.abs(w.sum(axis=1) - 1).max() < 1e-6
 
     def test_locality_monotone_in_beta(self):
         q, k = rng.standard_normal((10, 3)), rng.standard_normal((10, 3))
         coords = rng.uniform(-10, 10, size=(10, 2))
-        d2 = pairwise_sq_dist(coords)
-        far = int(np.argmax(d2[0]))
+        far = int(np.argmax(oracles.pairwise_sq_dist(coords)[0]))
         prev = np.inf
         for beta in (0.0, 0.01, 0.1, 1.0, 10.0, 100.0):
-            w = dmsa_weights(q, k, d2, beta)[0, far]
+            w = dmsa_weights(q, k, (coords, coords), beta)[0, far]
             assert w <= prev + 1e-15
             prev = w
 
@@ -186,11 +186,12 @@ class TestMultiHeadDmsa:
         p = MultiHeadDmsaParams((head,), np.eye(c), np.zeros(c))
         f = rng.standard_normal((7, c))
         coords = rng.uniform(-4, 4, size=(7, 2))
-        # keys and distance columns in the canonical order multi_head_dmsa uses
+        # keys and key coordinates in the canonical order multi_head_dmsa uses
         order = key_order(f, coords)
-        d2 = pairwise_sq_dist(coords)[:, order]
         fk = f[order]
-        ref = dmsa_head(contract(f, head.wq), contract(fk, head.wk), contract(fk, head.wv), d2, 0.3)
+        ref = dmsa_head(
+            contract(f, head.wq), contract(fk, head.wk), contract(fk, head.wv), (coords, coords[order]), 0.3
+        )
         assert np.array_equal(multi_head_dmsa(f, coords, p), ref)
 
     def test_beta_zero_matches_dense_oracle(self):
@@ -411,6 +412,60 @@ class TestInjectExtract:
 
 
 ARCH = ((8, 12), 2, 1, 2, 1e-5)  # backbone_schema sizes: widths, dmsa_heads, cross_heads, ffn_mult, eps
+
+
+# N x N logits are one attention block up to N = sqrt(ATTN_BLOCK) = B rows
+B = math.isqrt(ATTN_BLOCK)
+ROWS = [1, B - 1, B, B + 1, 3 * B + 1]
+
+
+def each_worker_count(monkeypatch, n):
+    """Set nn's pool to 1, 2 and 3 workers, then to more workers than the
+    N x N logits make blocks, yielding after each."""
+    for workers in (1, 2, 3, -(-n // (ATTN_BLOCK // n)) + 5):
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda workers=workers: workers)
+        yield workers
+
+
+class TestAttentionThreads:
+    """DMSA and cross-attention fill and softmax their logits in blocks of
+    query rows on nn's pool: the bits are those of whole-matrix operations,
+    on any number of worker threads."""
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_dmsa_weights_bits(self, monkeypatch, n):
+        d, beta = 4, 0.3
+        q, k = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        coords = rng.uniform(-10, 10, size=(n, 2))
+        order = rng.permutation(n)
+        # whole-matrix logits, an N x N distance matrix gathered to key order, one softmax
+        logits = np.einsum("id,jd->ij", q, k, optimize=False)
+        logits /= math.sqrt(d)
+        plain = oracles.softmax_rows(logits)
+        logits -= beta * oracles.pairwise_sq_dist(coords)[:, order]
+        want = oracles.softmax_rows(logits)
+        for workers in each_worker_count(monkeypatch, n):
+            assert np.array_equal(dmsa_weights(q, k, (coords, coords[order]), beta), want), workers
+            assert np.array_equal(dmsa_weights(q, k, None, beta), plain), workers
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_multi_head_and_cross_attention_bits(self, monkeypatch, n):
+        c = 8
+        f, g = rng.standard_normal((n, c)), rng.standard_normal((n, c))
+        coords = rng.uniform(-10, 10, size=(n, 2))
+        dmsa, cross = random_mha(c, 2, betas=[0.2, 1.5]), random_cross(c, heads=2)
+        want = None
+        for workers in each_worker_count(monkeypatch, n):
+            got = multi_head_dmsa(f, coords, dmsa), cross_attention(f, g, cross)
+            want = want or got
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), workers
+
+    def test_coordinate_shapes_checked(self):
+        q = np.ones((3, 2))
+        with pytest.raises(ShapeError, match="coords"):
+            dmsa_weights(q, q, (np.zeros((3, 2)), np.zeros((2, 2))), 1.0)
+        with pytest.raises(ShapeError, match="coords"):
+            dmsa_weights(q, q, (np.zeros((3, 3)), np.zeros((3, 3))), 1.0)
 
 
 def make_feats(n):

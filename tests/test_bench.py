@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
+import rcbev.nn
 from rcbev.bench import DEFAULT_SIDES, run_bench
 
 
@@ -61,18 +62,33 @@ def test_scatter_stage_spans(monkeypatch):
     assert direct.count("bev.gaussian") == 1
 
 
-def test_attention_spans_per_head(monkeypatch):
-    """Each DMSA head and each head of the inject and extract cross-attention
-    calls backbone.attend and backbone.softmax once, so the traced nn.attend_s
-    and nn.softmax_s cover every attention head of the run."""
+def attention_span_counts(monkeypatch, cfg) -> tuple[int, int, int]:
+    """The heads of cfg's backbone, and the nn.attend and nn.softmax spans a
+    traced run_pipeline(cfg) records."""
     spans = import_spans(monkeypatch)
     from rcbev import pipeline
-    from rcbev.selfcheck import tiny_pipeline_config
 
-    cfg = tiny_pipeline_config()
     with spans.Tracer() as tracer:
         pipeline.run_pipeline(cfg)
     names = [s.name for s in tracer.spans]
     heads = len(cfg.stage_widths) * (cfg.dmsa_heads + 2 * cfg.cross_heads)
-    assert names.count("nn.attend") == heads
-    assert names.count("nn.softmax") == heads
+    return heads, names.count("nn.attend"), names.count("nn.softmax")
+
+
+def test_attention_spans_per_head(monkeypatch):
+    """Each DMSA head and each head of the inject and extract cross-attention
+    calls backbone.attend and backbone.softmax once, so the traced nn.attend_s
+    and nn.softmax_s cover every attention head of the run."""
+    from rcbev.selfcheck import tiny_pipeline_config
+
+    heads, attend, softmax = attention_span_counts(monkeypatch, tiny_pipeline_config())
+    assert attend == heads and softmax == heads
+
+
+def test_attention_spans_per_head_when_blocks_split(monkeypatch, multi_block_config):
+    """With a cloud of several attention row blocks on two workers, attend and
+    softmax are still called once per head, on the caller's thread: the
+    blocks run inside them."""
+    monkeypatch.setattr(rcbev.nn, "_workers", lambda: 2)
+    heads, attend, softmax = attention_span_counts(monkeypatch, multi_block_config)
+    assert attend == heads and softmax == heads

@@ -1,13 +1,17 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rcbev.fusion
+import rcbev.nn
 from rcbev import oracles
 from rcbev.bev import BevGrid, BevSpec, CbrBlockParams, bev_encode, cbr_residual, encoder_schema
 from rcbev.errors import ConfigError, ShapeError
 from rcbev.fusion import (
+    QUERY_BLOCK,
     AlignParams,
     DeformAttnParams,
     add_pos_embed,
@@ -160,6 +164,82 @@ class TestDeformAttn:
         p = random_deform(c, c, 2, 2)
         out = deform_attn(np.zeros((c, h, w)), None, np.zeros((c, h, w)), p)
         assert np.all(np.isfinite(out))
+
+
+class TestDeformThreads:
+    """deform_attn runs its query blocks as jobs on nn's pool: the bits are
+    those of one block on any number of worker threads, and the softmax
+    inside a job runs on that job's thread."""
+
+    @pytest.mark.parametrize("n", [1, QUERY_BLOCK - 1, QUERY_BLOCK, QUERY_BLOCK + 1, 3 * QUERY_BLOCK + 1])
+    def test_bits_do_not_depend_on_blocks_or_workers(self, monkeypatch, n):
+        queries, values = rng.standard_normal((3, 1, n)), rng.standard_normal((4, 1, n))
+        p = random_deform(3, 4, 2, 2)
+        monkeypatch.setattr(rcbev.fusion, "QUERY_BLOCK", n)
+        want = deform_attn(queries, None, values, p)
+        monkeypatch.setattr(rcbev.fusion, "QUERY_BLOCK", QUERY_BLOCK)
+        for workers in (1, 2, 3, -(-n // QUERY_BLOCK) + 5):
+            monkeypatch.setattr(rcbev.nn, "_workers", lambda workers=workers: workers)
+            assert np.array_equal(deform_attn(queries, None, values, p), want), workers
+
+    def test_many_workers_with_fast_thread_switches(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond, with a
+        # nested softmax pool in every job: a block taken twice or skipped, or
+        # a busy flag lost between threads, would change the output
+        n = 3 * QUERY_BLOCK + 1
+        queries, values = rng.standard_normal((3, 1, n)), rng.standard_normal((3, 1, n))
+        p = random_deform(3, 3, 2, 2)
+        monkeypatch.setattr(rcbev.nn, "ATTN_BLOCK", 64)  # each job's softmax has 32 blocks
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda: 1)
+        want = deform_attn(queries, None, values, p)
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda: 8)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert np.array_equal(deform_attn(queries, None, values, p), want)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+
+    def test_nested_pool_stays_within_the_workers(self, monkeypatch):
+        workers = 3
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda: workers)
+        # blocks of 16 rows of M * K = 4 softmax entries: each job's softmax would split
+        monkeypatch.setattr(rcbev.nn, "ATTN_BLOCK", 64)
+        lock, started, live, peak = threading.Lock(), [0], [0], [0]
+
+        class Counted(threading.Thread):
+            def run(self):
+                with lock:
+                    started[0] += 1
+                    live[0] += 1
+                    peak[0] = max(peak[0], live[0])
+                try:
+                    super().run()
+                finally:
+                    with lock:
+                        live[0] -= 1
+
+        softmax_rows = []
+
+        def softmax(x, *args, _fn=rcbev.fusion.softmax, **kwargs):
+            softmax_rows.append(len(x))
+            return _fn(x, *args, **kwargs)
+
+        monkeypatch.setattr(rcbev.nn.threading, "Thread", Counted)
+        monkeypatch.setattr(rcbev.fusion, "softmax", softmax)
+        threads = threading.active_count()
+        n = 3 * QUERY_BLOCK
+        p = random_deform(3, 3, 2, 2)
+        deform_attn(rng.standard_normal((3, 1, n)), None, rng.standard_normal((3, 1, n)), p)
+        # each job's softmax spans several row blocks, yet starts no thread:
+        # only the query-block pool's own workers ran beside the caller
+        assert softmax_rows == [QUERY_BLOCK] * 3
+        assert started[0] == workers - 1
+        assert 1 + peak[0] <= workers
+        assert threading.active_count() == threads
 
 
 class TestCrossAlign:

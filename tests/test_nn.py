@@ -10,10 +10,12 @@ import rcbev.nn
 from rcbev import oracles
 from rcbev.errors import ConfigError, DataError, EmptyInputError, ShapeError
 from rcbev.nn import (
+    ATTN_BLOCK,
     CONV_BLOCK,
     MlpLayer,
     MlpParams,
     NormParams,
+    attend,
     batch_norm_2d,
     conv3x3,
     identity_norm,
@@ -407,6 +409,85 @@ class TestConvThreads:
         threads = threading.active_count()
         x, k, b = random_conv(2, 2, 16, 40)
         conv3x3(x, k, b)
+        assert threading.active_count() == threads
+
+
+ROWS = ["1", "B-1", "B", "B+1", "3B+1"]
+
+
+def rows(size, block):
+    """The row count a ROWS label names, for blocks of ``block`` rows."""
+    return {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "3B+1": 3 * block + 1}[size]
+
+
+def worker_counts(n, block):
+    """1, 2 and 3 workers, and more workers than n rows make blocks."""
+    return (1, 2, 3, -(-n // block) + 5)
+
+
+class TestAttentionThreads:
+    """attend and softmax run blocks of at most ATTN_BLOCK entries on the
+    pool and give the bits of one whole-array pass on any number of worker
+    threads; a failing block fails the call, and no thread outlives it."""
+
+    @pytest.mark.parametrize("size", ROWS)
+    def test_attend_bits(self, monkeypatch, size):
+        block = ATTN_BLOCK // 37
+        n = rows(size, block)
+        w, v = rng.standard_normal((n, 37)), rng.standard_normal((37, 5))
+        want = np.einsum("ij,jc->ic", w, v, optimize=False)
+        for workers in worker_counts(n, block):
+            monkeypatch.setattr(rcbev.nn, "_workers", lambda workers=workers: workers)
+            assert np.array_equal(attend(w, v), want), workers
+
+    @pytest.mark.parametrize("shape, axis", [((37,), 1), ((3, 4), 2)], ids=["axis1", "axis2"])
+    @pytest.mark.parametrize("size", ROWS)
+    def test_softmax_bits(self, monkeypatch, size, shape, axis):
+        block = ATTN_BLOCK // math.prod(shape)
+        n = rows(size, block)
+        x = rng.standard_normal((n, *shape)) * 10
+        want = oracles.softmax_rows(x, axis)
+        for workers in worker_counts(n, block):
+            monkeypatch.setattr(rcbev.nn, "_workers", lambda workers=workers: workers)
+            assert np.array_equal(softmax(x, axis=axis), want), workers
+            y = x.copy()
+            assert softmax(y, axis=axis, out=y) is y
+            assert np.array_equal(y, want), workers
+
+    def test_softmax_over_axis_0_is_one_pass(self):
+        x = rng.standard_normal((ATTN_BLOCK + 1, 3))
+        assert np.array_equal(softmax(x, axis=0), oracles.softmax_rows(x, 0))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failing_later_block_fails_the_call(self, monkeypatch, workers):
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda: workers)
+        threads = threading.active_count()
+        x = rng.standard_normal((3 * (ATTN_BLOCK // 5) + 1, 5))
+        x[-1, 2] = np.nan
+        with pytest.raises(DataError):
+            softmax(x, axis=1)
+        assert threading.active_count() == threads
+        einsum, lock, calls = np.einsum, threading.Lock(), []
+
+        def third_block_fails(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise ArithmeticError("block failed")
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(rcbev.nn.np, "einsum", third_block_fails)
+        with pytest.raises(ArithmeticError, match="block failed"):
+            attend(x, rng.standard_normal((5, 2)))
+        assert threading.active_count() == threads
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda: 3)
+        threads = threading.active_count()
+        x = rng.standard_normal((769, 769))  # 10 blocks of 76-77 rows
+        softmax(x, axis=1)
+        assert threading.active_count() == threads
+        attend(x, x[:, :4])
         assert threading.active_count() == threads
 
 
