@@ -7,7 +7,8 @@ nearby points. The streams exchange information every stage through gated
 cross-attention (inject) and cross-attention + feed-forward (extract), and are
 merged by a final linear layer. Cross-attention is the DMSA per-head body
 without the distance term: both run through one multi-head path over one
-params type, MultiHeadDmsaParams. PipelineConfig holds and checks the sizes.
+params type, MultiHeadDmsaParams, whose stacked projections take one
+contraction per operand. PipelineConfig holds and checks the sizes.
 
 Both attentions gather their keys in one canonical order (nn.key_order) and
 reduce them in that order; queries keep their input order and every query row
@@ -61,34 +62,33 @@ Coords = tuple[np.ndarray, np.ndarray]  # (query, key) BEV coordinates, N x 2 ea
 
 
 @dataclass(frozen=True)
-class AttnHeadParams:
-    """Per-head projections (d_head x C); beta only used by self-attention."""
+class MultiHeadDmsaParams:
+    """Stacked projections of H heads: wq, wk, wv are C x C with rows
+    head-major, so head h owns rows h*d:(h+1)*d (d = C / H); beta holds each
+    head's distance gate, 0.0 for cross-attention, and its length is H; wo, bo
+    project the concatenated heads."""
 
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
-    beta: float = 0.0
-
-
-@dataclass(frozen=True)
-class MultiHeadDmsaParams:
-    heads: tuple[AttnHeadParams, ...]
+    beta: tuple[float, ...]
     wo: np.ndarray  # C x C over concatenated heads
     bo: np.ndarray
 
     def __post_init__(self):
-        c = self.wo.shape[1]
-        if sum(h.wq.shape[0] for h in self.heads) != c:
-            raise ConfigError(
-                f"head dims {[h.wq.shape[0] for h in self.heads]} do not tile C={c}"
-            )
+        c, h = self.wo.shape[1], len(self.beta)
+        if not h or c % h:
+            raise ConfigError(f"{h} heads do not tile C={c}")
+        bad = [f"{n} {getattr(self, n).shape}" for n in ("wq", "wk", "wv") if getattr(self, n).shape != (c, c)]
+        if bad:
+            raise ConfigError(f"projections {', '.join(bad)} are not C x C for C={c}")
 
 
 @dataclass(frozen=True)
 class CrossAttnParams:
     lnq: NormParams
     lnkv: NormParams
-    attn: MultiHeadDmsaParams  # heads without beta
+    attn: MultiHeadDmsaParams  # every beta 0.0
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def dmsa_weights(q: np.ndarray, k: np.ndarray, xy: Optional[Coords], beta: float
             rows -= d2
 
     in_attn_blocks(n, n, run)
-    return softmax(logits, axis=1, out=logits)
+    return softmax(logits, out=logits)
 
 
 def dmsa_head(
@@ -208,13 +208,15 @@ def dmsa_head(
 def _multi_head(
     xq: np.ndarray, xkv: np.ndarray, p: MultiHeadDmsaParams, xy: Optional[Coords] = None
 ) -> np.ndarray:
-    """The heads of p, one dmsa_head each over its projections of the queries
-    xq and the keys/values xkv (rows in key order), concatenated and projected
-    by (p.wo, p.bo). DMSA passes the query and key coordinates xy;
-    cross-attention passes none."""
-    outs = [
-        dmsa_head(contract(xq, h.wq), contract(xkv, h.wk), contract(xkv, h.wv), xy, h.beta) for h in p.heads
-    ]
+    """The heads of p over the queries xq and the keys/values xkv (rows in
+    key order): one contraction per operand projects every head at once, and
+    head h runs dmsa_head on its columns h*d:(h+1)*d; the head outputs are
+    concatenated and projected by (p.wo, p.bo). DMSA passes the query and key
+    coordinates xy; cross-attention passes none."""
+    q, k, v = contract(xq, p.wq), contract(xkv, p.wk), contract(xkv, p.wv)
+    d = q.shape[1] // len(p.beta)
+    heads = [slice(h * d, (h + 1) * d) for h in range(len(p.beta))]
+    outs = [dmsa_head(q[:, s], k[:, s], v[:, s], xy, beta) for s, beta in zip(heads, p.beta)]
     return linear(np.concatenate(outs, axis=1), p.wo, p.bo)
 
 
@@ -288,15 +290,16 @@ def _ln_schema(src: TensorSource, prefix: str, c: int, eps: float) -> NormParams
 
 
 def _mha_schema(src: TensorSource, prefix: str, c: int, heads: int, with_beta: bool) -> MultiHeadDmsaParams:
-    """Per-head projections, then the output projection; a self-attention
-    head also has its distance gate beta, clamped to >= 0."""
-    hps = []
+    """Per-head projections, stacked head-major, then the output projection;
+    a self-attention head also has its distance gate beta, clamped to >= 0."""
+    d = c // heads
+    per_head, betas = [], []
     for h in range(heads):
-        wq, wk, wv = (src.require(f"{prefix}.head{h}.{w}", (c // heads, c), INIT_GLOROT) for w in ("wq", "wk", "wv"))
-        beta = max(0.0, float(src.require(f"{prefix}.head{h}.beta", (1,), INIT_ONES)[0])) if with_beta else 0.0
-        hps.append(AttnHeadParams(wq, wk, wv, beta))
+        per_head.append([src.require(f"{prefix}.head{h}.{w}", (d, c), INIT_GLOROT) for w in ("wq", "wk", "wv")])
+        betas.append(max(0.0, float(src.require(f"{prefix}.head{h}.beta", (1,), INIT_ONES)[0])) if with_beta else 0.0)
+    wq, wk, wv = (np.concatenate(w) for w in zip(*per_head))
     wo, bo = src.require(f"{prefix}.wo", (c, c), INIT_GLOROT), src.require(f"{prefix}.bo", (c,), INIT_ZEROS)
-    return MultiHeadDmsaParams(tuple(hps), wo, bo)
+    return MultiHeadDmsaParams(wq, wk, wv, tuple(betas), wo, bo)
 
 
 def _cross_schema(src: TensorSource, prefix: str, c: int, heads: int, eps: float) -> CrossAttnParams:

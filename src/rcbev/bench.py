@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fusion import DeformAttnParams, deform_attn
-from .oracles import dense_attention
+from .oracles import dense_cross_attention_grid
 
 DEFAULT_SIDES = (16, 32, 64, 128)  # H = W; H*W in {256, 1024, 4096, 16384}
 
@@ -62,16 +62,6 @@ class BenchReport:
             dbl = f"{r.doubling_ratio:.6f}" if r.doubling_ratio is not None else ""
             lines.append(f"{r.method},{r.h},{r.w},{r.hw},{r.seconds:.9f},{step},{dbl}")
         return "\n".join(lines) + "\n"
-
-
-def dense_cross_attention_grid(
-    z: np.ndarray, kv: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
-    block: int = 1024,
-) -> np.ndarray:
-    """Vanilla dense cross-attention over all pixel pairs (the O(H^2 W^2 C)
-    comparator): the reference attention, row-blocked to bound memory."""
-    q, k, v = z @ wq.T, kv @ wk.T, kv @ wv.T
-    return np.concatenate([dense_attention(q[i0 : i0 + block], k, v) for i0 in range(0, len(q), block)])
 
 
 def _deform_reps(hw: int) -> int:

@@ -12,8 +12,8 @@ grid, which the points leave mostly empty, is convolved only near its points.
 Each CBR block applies its batch norm, ReLU and skip add in place on the conv
 output, so a block holds one output-sized array beyond its input.
 
-Coverage is decided once per call, in a footprint table of (point, pixel, d2)
-entries ordered by point that the scatter and the Gaussian map both read. Sums
+Coverage is decided by one rule, footprint: the scatter and the Gaussian map
+each build their own table of (point, pixel, d2) entries ordered by point. Sums
 follow table order, so each pixel adds its points in canonical order.
 """
 

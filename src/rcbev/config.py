@@ -82,6 +82,11 @@ class PipelineConfig:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if lo >= hi:
             raise ConfigError(f"rcs_bounds must satisfy lo < hi, got ({lo}, {hi})")
+        if not self.enc_blocks and self.rcs_out + self.point_channels != self.radar_channels:
+            raise ConfigError(
+                f"enc.blocks = 0 passes rcs_mlp.out + backbone.widths[-1] = {self.rcs_out} + {self.point_channels}"
+                f" channels through, not enc.channels = {self.radar_channels}"
+            )
         if self.radar_channels % self.deform_heads or self.cam_channels % self.deform_heads:
             raise ConfigError("deform_heads must divide both radar and camera channels")
         heads = f"dmsa_heads {self.dmsa_heads} and cross_heads {self.cross_heads}"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bev import BevGrid, CbrBlockParams, bev_encode, cbr_stack_schema
 from .errors import ConfigError, ShapeError
-from .nn import as_f64, contract, in_row_blocks, softmax
+from .nn import as_f64, contract, in_row_blocks, linear, softmax
 from .weights import TensorSource, INIT_GLOROT, INIT_ZEROS, linear_schema
 
 
@@ -103,9 +103,8 @@ def _query_rows(cols: np.ndarray, p: DeformAttnParams) -> tuple[np.ndarray, np.n
     softmaxed over K per head."""
     z = np.ascontiguousarray(cols.T)
     if p.adapt is not None:
-        z = contract(z, p.adapt[0]) + p.adapt[1]
-    logits = (contract(z, p.w_att) + p.b_att).reshape(len(z), p.m, p.k)
-    return z, softmax(logits, axis=2)
+        z = linear(z, *p.adapt)
+    return z, softmax(linear(z, p.w_att, p.b_att).reshape(len(z), p.m, p.k))
 
 
 def deform_attn_weights(queries: np.ndarray, p: DeformAttnParams) -> np.ndarray:
@@ -160,7 +159,7 @@ def deform_attn(
 
     def run(start: int, stop: int) -> None:
         z, attn = _query_rows(cols[:, start:stop], p)
-        offsets = (contract(z, p.w_off) + p.b_off).reshape(stop - start, p.m, p.k, 2)
+        offsets = linear(z, p.w_off, p.b_off).reshape(stop - start, p.m, p.k, 2)
         refc = ref[start:stop]
         for m in range(p.m):
             uv = refc[:, None, :] + offsets[:, m]

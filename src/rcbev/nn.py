@@ -166,29 +166,28 @@ def batch_norm_2d(x: np.ndarray, p: NormParams, out: Optional[np.ndarray] = None
     return y
 
 
-def softmax(x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Max-subtracted softmax; the denominator sums along ``axis`` in the
-    given order. Writes into ``out`` when given (x itself for an in-place
-    update), else into one new array. Reducing over any axis but 0, it runs
-    on blocks of whole rows along axis 0 (in_attn_blocks)."""
+def softmax(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Max-subtracted softmax over the last axis; each denominator sums its
+    row in the given order. Writes into ``out`` when given (x itself for an
+    in-place update; C-contiguous, shaped like x), else into one new array.
+    The rows of all leading axes run in blocks (in_attn_blocks)."""
     x = as_f64(x)
-    axis = range(x.ndim)[axis]  # as a non-negative index
-    out = np.empty_like(x) if out is None else out
+    out = np.empty(x.shape) if out is None else out
+    if out.shape != x.shape or not out.flags.c_contiguous:
+        raise ShapeError(f"softmax out {out.shape} must be a C-contiguous {x.shape} array")
+    rows, dest = x.reshape(-1, x.shape[-1]), out.reshape(-1, x.shape[-1])
 
     def run(start: int, stop: int) -> None:
-        rows, e = x[start:stop], out[start:stop]
-        peak = rows.max(axis=axis, keepdims=True)
+        block, e = rows[start:stop], dest[start:stop]
+        peak = block.max(axis=1, keepdims=True)
         # a NaN or +inf reaches its row's max, a -inf the min (0.0 for no rows)
-        if not (np.all(np.isfinite(peak)) and np.isfinite(rows.min(initial=0.0))):
+        if not (np.all(np.isfinite(peak)) and np.isfinite(block.min(initial=0.0))):
             raise DataError("softmax input contains non-finite values")
-        np.subtract(rows, peak, out=e)
+        np.subtract(block, peak, out=e)
         np.exp(e, out=e)
-        e /= e.sum(axis=axis, keepdims=True)
+        e /= e.sum(axis=1, keepdims=True)
 
-    if axis:
-        in_attn_blocks(len(x), int(np.prod(x.shape[1:])), run)
-    else:
-        run(0, len(x))
+    in_attn_blocks(len(rows), rows.shape[1], run)
     return out
 
 

@@ -1,5 +1,5 @@
-"""Reference implementations that the selfcheck suite and the tests compare
-the kernels against.
+"""Reference implementations that the selfcheck suite, the tests and the
+scaling bench compare the kernels against.
 
 Everything here is written as plain loops, math.fsum or textbook formulas,
 independent of the vectorized kernels it cross-checks, so every comparison is
@@ -68,6 +68,20 @@ def softmax_rows(m: np.ndarray, axis: int = -1) -> np.ndarray:
 def dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Scaled dot-product attention, textbook form."""
     return softmax_rows(q @ k.T / math.sqrt(q.shape[1])) @ v
+
+
+def dense_cross_attention_grid(
+    z: np.ndarray, kv: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray, block: int = 1024
+) -> np.ndarray:
+    """Vanilla dense cross-attention over all pixel pairs (the O(H^2 W^2 C)
+    comparator of the scaling bench), row-blocked to bound memory."""
+    q, k, v = z @ wq.T, kv @ wk.T, kv @ wv.T
+    return np.concatenate([dense_attention(q[i0 : i0 + block], k, v) for i0 in range(0, len(q), block)])
+
+
+def split_heads(heads: int, *stacked: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """One tuple per head of its rows of each head-major stacked projection."""
+    return list(zip(*(np.split(w, heads) for w in stacked)))
 
 
 def dense_mha(f: np.ndarray, heads, wo: np.ndarray, bo: np.ndarray) -> np.ndarray:

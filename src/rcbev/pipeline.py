@@ -201,11 +201,6 @@ def radar_branch(
     f_rcs, base, g_rcs = report.run("scatter", scatter, out_array=lambda t: t[0].data)
 
     radar_bev = report.run("bev_encode", lambda: bev_encode(rcs_bev_feature(f_rcs, g_rcs, rcs_mlp), base, enc_blocks))
-    if radar_bev.channels != cfg.radar_channels:
-        raise PipelineError(
-            "bev_encode",
-            ShapeError(f"encoder produced {radar_bev.channels} channels, configured {cfg.radar_channels}"),
-        )
     return radar_bev, f_rcs, base, g_rcs, backbone
 
 

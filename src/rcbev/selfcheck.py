@@ -16,7 +16,6 @@ import numpy as np
 
 from . import oracles
 from .backbone import (
-    AttnHeadParams,
     CrossAttnParams,
     InjectionParams,
     MultiHeadDmsaParams,
@@ -87,18 +86,10 @@ def _maxabs(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if np.size(a) else 0.0
 
 
-def _small_heads(rng, c: int, h: int, betas=None) -> MultiHeadDmsaParams:
-    d = c // h
-    heads = tuple(
-        AttnHeadParams(
-            rng.standard_normal((d, c)),
-            rng.standard_normal((d, c)),
-            rng.standard_normal((d, c)),
-            beta=0.0 if betas is None else betas[i],
-        )
-        for i in range(h)
-    )
-    return MultiHeadDmsaParams(heads, rng.standard_normal((c, c)), rng.standard_normal(c))
+def _small_heads(rng, c: int, h: int) -> MultiHeadDmsaParams:
+    per_head = [[rng.standard_normal((c // h, c)) for _ in range(3)] for _ in range(h)]
+    wq, wk, wv = (np.concatenate(w) for w in zip(*per_head))
+    return MultiHeadDmsaParams(wq, wk, wv, (0.0,) * h, rng.standard_normal((c, c)), rng.standard_normal(c))
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +135,9 @@ def check_conv_oracle() -> tuple[float, str]:
 def check_softmax() -> tuple[float, str]:
     rng = np.random.default_rng(104)
     x = rng.standard_normal((40, 9))
-    s = softmax(x, axis=1)
+    s = softmax(x)
     err = _maxabs(s.sum(axis=1), np.ones(40))
-    shifted = softmax(x + 2.0, axis=1)  # dyadic shift keeps float ops exact
+    shifted = softmax(x + 2.0)  # dyadic shift keeps float ops exact
     err = max(err, _maxabs(s, shifted))
     return err, "row sums and shift invariance"
 
@@ -219,7 +210,7 @@ def check_dmsa_oracle() -> tuple[float, str]:
         coords = rng.uniform(-20, 20, size=(n, 2))
         f = rng.standard_normal((n, c))
         p = _small_heads(rng, c, h)
-        ref = oracles.dense_mha(f, [(hd.wq, hd.wk, hd.wv) for hd in p.heads], p.wo, p.bo)
+        ref = oracles.dense_mha(f, oracles.split_heads(h, p.wq, p.wk, p.wv), p.wo, p.bo)
         worst = max(worst, _maxabs(multi_head_dmsa(f, coords, p), ref))
     return worst, "beta=0 vs dense multi-head attention"
 
@@ -273,13 +264,12 @@ def check_inject_identity() -> tuple[float, str]:
 def check_transformer_identity() -> tuple[float, str]:
     rng = np.random.default_rng(112)
     c, h = 8, 2
-    d = c // h
     f = rng.standard_normal((6, c))
     coords = rng.uniform(-5, 5, size=(6, 2))
-    zero_heads = tuple(AttnHeadParams(np.zeros((d, c)), np.zeros((d, c)), np.zeros((d, c))) for _ in range(h))
+    zero = np.zeros((c, c))
     p = TransformerBlockParams(
         identity_norm(c),
-        MultiHeadDmsaParams(zero_heads, np.zeros((c, c)), np.zeros(c)),
+        MultiHeadDmsaParams(zero, zero, zero, (0.0,) * h, zero, np.zeros(c)),
         identity_norm(c),
         MlpParams((MlpLayer(np.zeros((c, c)), np.zeros(c), True), MlpLayer(np.zeros((c, c)), np.zeros(c), False))),
     )

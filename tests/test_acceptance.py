@@ -13,7 +13,6 @@ import pytest
 import rcbev.nn
 from rcbev import oracles
 from rcbev.backbone import (
-    AttnHeadParams,
     MultiHeadDmsaParams,
     TransformerBlockParams,
     backbone_schema,
@@ -57,16 +56,13 @@ def test_criterion_1_dmsa_degeneracy():
         c = h * int(rng.integers(1, 32 // h + 1))
         n = int(rng.integers(2, 33))
         d = c // h
-        heads = tuple(
-            AttnHeadParams(
-                rng.standard_normal((d, c)), rng.standard_normal((d, c)), rng.standard_normal((d, c)), 0.0
-            )
-            for _ in range(h)
-        )
-        p = MultiHeadDmsaParams(heads, rng.standard_normal((c, c)), rng.standard_normal(c))
+        # drawn head by head, stacked head-major
+        per_head = [[rng.standard_normal((d, c)) for _ in range(3)] for _ in range(h)]
+        wq, wk, wv = (np.concatenate(w) for w in zip(*per_head))
+        p = MultiHeadDmsaParams(wq, wk, wv, (0.0,) * h, rng.standard_normal((c, c)), rng.standard_normal(c))
         f = rng.standard_normal((n, c))
         coords = rng.uniform(-40, 40, size=(n, 2))
-        ref = oracles.dense_mha(f, [(hd.wq, hd.wk, hd.wv) for hd in p.heads], p.wo, p.bo)
+        ref = oracles.dense_mha(f, oracles.split_heads(h, wq, wk, wv), p.wo, p.bo)
         worst = max(worst, float(np.abs(multi_head_dmsa(f, coords, p) - ref).max()))
     elapsed = time.perf_counter() - t0
     report(
@@ -205,26 +201,20 @@ def test_criterion_6_identity_configurations():
     rng = np.random.default_rng(1006)
     c = 8
     # gamma = 0 makes inject a bit-identity on f_p
-    d = c
+    wq, wk, wv = (rng.standard_normal((c, c)) for _ in range(3))
     cross = CrossAttnParams(
         identity_norm(c), identity_norm(c),
-        MultiHeadDmsaParams(
-            (AttnHeadParams(rng.standard_normal((d, c)), rng.standard_normal((d, c)), rng.standard_normal((d, c))),),
-            rng.standard_normal((c, c)), rng.standard_normal(c),
-        ),
+        MultiHeadDmsaParams(wq, wk, wv, (0.0,), rng.standard_normal((c, c)), rng.standard_normal(c)),
     )
     f_p = rng.standard_normal((9, c))
     f_t = rng.standard_normal((9, c))
     inject_ok = np.array_equal(inject(f_p, f_t, InjectionParams(cross, np.zeros(c))), f_p)
 
     # zero-weight transformer block is an identity
-    dh = c // 2
-    zero_heads = tuple(
-        AttnHeadParams(np.zeros((dh, c)), np.zeros((dh, c)), np.zeros((dh, c))) for _ in range(2)
-    )
+    zero = np.zeros((c, c))
     tb = TransformerBlockParams(
         identity_norm(c),
-        MultiHeadDmsaParams(zero_heads, np.zeros((c, c)), np.zeros(c)),
+        MultiHeadDmsaParams(zero, zero, zero, (0.0, 0.0), zero, np.zeros(c)),
         identity_norm(c),
         MlpParams((MlpLayer(np.zeros((c, c)), np.zeros(c), True), MlpLayer(np.zeros((c, c)), np.zeros(c), False))),
     )
@@ -266,14 +256,9 @@ def test_criterion_7_permutation_equivariance():
     pb = point_block(feats.features, mlp_p)
 
     dh = 4
-    heads = tuple(
-        AttnHeadParams(
-            rng.standard_normal((dh, 8)), rng.standard_normal((dh, 8)), rng.standard_normal((dh, 8)),
-            beta=float(b),
-        )
-        for b in (0.3, 2.0)
-    )
-    mha_p = MultiHeadDmsaParams(heads, rng.standard_normal((8, 8)), rng.standard_normal(8))
+    per_head = [[rng.standard_normal((dh, 8)) for _ in range(3)] for _ in range(2)]
+    wq, wk, wv = (np.concatenate(w) for w in zip(*per_head))
+    mha_p = MultiHeadDmsaParams(wq, wk, wv, (0.3, 2.0), rng.standard_normal((8, 8)), rng.standard_normal(8))
     f8 = rng.standard_normal((n, 8))
     mh = multi_head_dmsa(f8, feats.coords, mha_p)
 

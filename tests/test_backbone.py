@@ -4,15 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rcbev.backbone
 import rcbev.nn
 from rcbev import oracles
 from rcbev.backbone import (
-    AttnHeadParams,
     CrossAttnParams,
     ExtractionParams,
     InjectionParams,
     MultiHeadDmsaParams,
     TransformerBlockParams,
+    _multi_head,
     backbone_schema,
     cross_attention,
     dmsa_head,
@@ -27,38 +28,40 @@ from rcbev.backbone import (
 from rcbev.config import PipelineConfig, load_config
 from rcbev.errors import ConfigError, EmptyInputError, ShapeError, WeightLookupError
 from rcbev.ingest import PointFeatureSet
-from rcbev.nn import ATTN_BLOCK, MlpLayer, MlpParams, NormParams, contract, identity_norm, key_order, layer_norm, mlp
+from rcbev.nn import (
+    ATTN_BLOCK,
+    MlpLayer,
+    MlpParams,
+    NormParams,
+    contract,
+    identity_norm,
+    key_order,
+    layer_norm,
+    linear,
+    mlp,
+)
 from rcbev.weights import WeightSet, init_weights, record_tensors
 
 rng = np.random.default_rng(7)
+# N x N logits are one attention block up to N = sqrt(ATTN_BLOCK) = B rows
+B = math.isqrt(ATTN_BLOCK)
 
 
 def random_mha(c, h, betas=None):
-    d = c // h
-    heads = tuple(
-        AttnHeadParams(
-            rng.standard_normal((d, c)),
-            rng.standard_normal((d, c)),
-            rng.standard_normal((d, c)),
-            beta=0.0 if betas is None else betas[i],
-        )
-        for i in range(h)
-    )
-    return MultiHeadDmsaParams(heads, rng.standard_normal((c, c)), rng.standard_normal(c))
+    """Stacked params, drawn head by head (wq, wk, wv, each d x C), then wo, bo."""
+    per_head = [[rng.standard_normal((c // h, c)) for _ in range(3)] for _ in range(h)]
+    wq, wk, wv = (np.concatenate(w) for w in zip(*per_head))
+    beta = (0.0,) * h if betas is None else tuple(betas)
+    return MultiHeadDmsaParams(wq, wk, wv, beta, rng.standard_normal((c, c)), rng.standard_normal(c))
 
 
 def random_cross(c, heads=1):
-    d = c // heads
-    hp = tuple(
-        AttnHeadParams(
-            rng.standard_normal((d, c)), rng.standard_normal((d, c)), rng.standard_normal((d, c))
-        )
-        for _ in range(heads)
-    )
-    return CrossAttnParams(
-        identity_norm(c), identity_norm(c),
-        MultiHeadDmsaParams(hp, rng.standard_normal((c, c)), rng.standard_normal(c)),
-    )
+    return CrossAttnParams(identity_norm(c), identity_norm(c), random_mha(c, heads))
+
+
+def zero_mha(c, h):
+    z = np.zeros((c, c))
+    return MultiHeadDmsaParams(z, z, z, (0.0,) * h, z, np.zeros(c))
 
 
 def tied_rows(r, c):
@@ -180,17 +183,15 @@ class TestDmsaHead:
 class TestMultiHeadDmsa:
     def test_single_head_with_identity_out_proj(self):
         c = 4
-        head = AttnHeadParams(
-            rng.standard_normal((c, c)), rng.standard_normal((c, c)), rng.standard_normal((c, c)), 0.3
-        )
-        p = MultiHeadDmsaParams((head,), np.eye(c), np.zeros(c))
+        wq, wk, wv = (rng.standard_normal((c, c)) for _ in range(3))
+        p = MultiHeadDmsaParams(wq, wk, wv, (0.3,), np.eye(c), np.zeros(c))
         f = rng.standard_normal((7, c))
         coords = rng.uniform(-4, 4, size=(7, 2))
         # keys and key coordinates in the canonical order multi_head_dmsa uses
         order = key_order(f, coords)
         fk = f[order]
         ref = dmsa_head(
-            contract(f, head.wq), contract(fk, head.wk), contract(fk, head.wv), (coords, coords[order]), 0.3
+            contract(f, wq), contract(fk, wk), contract(fk, wv), (coords, coords[order]), 0.3
         )
         assert np.array_equal(multi_head_dmsa(f, coords, p), ref)
 
@@ -202,7 +203,7 @@ class TestMultiHeadDmsa:
             f = rng.standard_normal((n, c))
             coords = rng.uniform(-20, 20, size=(n, 2))
             p = random_mha(c, h)
-            ref = oracles.dense_mha(f, [(hd.wq, hd.wk, hd.wv) for hd in p.heads], p.wo, p.bo)
+            ref = oracles.dense_mha(f, oracles.split_heads(h, p.wq, p.wk, p.wv), p.wo, p.bo)
             assert np.abs(multi_head_dmsa(f, coords, p) - ref).max() < 1e-10
 
     def test_nonzero_beta_matches_formula(self):
@@ -212,7 +213,7 @@ class TestMultiHeadDmsa:
         f = rng.standard_normal((n, c))
         coords = rng.uniform(-8, 8, size=(n, 2))
         ref = oracles.dmsa_reference(
-            f, coords, [(hd.wq, hd.wk, hd.wv, hd.beta) for hd in p.heads], p.wo, p.bo
+            f, coords, oracles.split_heads(h, p.wq, p.wk, p.wv, np.array(p.beta)), p.wo, p.bo
         )
         assert np.abs(multi_head_dmsa(f, coords, p) - ref).max() < 1e-10
 
@@ -237,23 +238,71 @@ class TestMultiHeadDmsa:
             assert np.array_equal(multi_head_dmsa(f[perm], coords[perm], p), out[perm])
 
     def test_head_tiling_enforced(self):
-        heads = (AttnHeadParams(np.ones((3, 8)), np.ones((3, 8)), np.ones((3, 8))),)
+        w = np.ones((3, 8))
         with pytest.raises(ConfigError):
-            MultiHeadDmsaParams(heads, np.eye(8), np.zeros(8))
+            MultiHeadDmsaParams(w, w, w, (0.0,), np.eye(8), np.zeros(8))
         # cross-attention holds the same params type, so its heads are checked too
         with pytest.raises(ConfigError):
-            CrossAttnParams(identity_norm(8), identity_norm(8), MultiHeadDmsaParams(heads, np.eye(8), np.zeros(8)))
+            CrossAttnParams(
+                identity_norm(8), identity_norm(8), MultiHeadDmsaParams(w, w, w, (0.0,), np.eye(8), np.zeros(8))
+            )
+
+    @pytest.mark.parametrize("heads", [0, 3, 5])
+    def test_head_count_must_divide_c(self, heads):
+        w = np.ones((8, 8))
+        with pytest.raises(ConfigError, match="heads do not tile"):
+            MultiHeadDmsaParams(w, w, w, (0.0,) * heads, w, np.zeros(8))
+
+    @pytest.mark.parametrize("shape", [(4, 8), (8, 4), (8,), (16, 16)])
+    @pytest.mark.parametrize("name", ["wq", "wk", "wv"])
+    def test_projections_must_be_c_by_c(self, name, shape):
+        w = np.ones((8, 8))
+        given = dict(wq=w, wk=w, wv=w, beta=(0.0, 0.0), wo=w, bo=np.zeros(8))
+        with pytest.raises(ConfigError, match=name):
+            MultiHeadDmsaParams(**{**given, name: np.ones(shape)})
+
+    @pytest.mark.parametrize("n", [13, B + 1])
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    def test_equals_per_head_calls_on_contiguous_projections(self, h, n):
+        c = 8
+        p = random_mha(c, h, betas=rng.uniform(0.0, 2.0, h))
+        xq, xkv = rng.standard_normal((n, c)), rng.standard_normal((n, c))
+        coords = rng.uniform(-10, 10, size=(n, 2))
+        for xy in ((coords, coords[rng.permutation(n)]), None):
+            outs = [
+                dmsa_head(contract(xq, wq), contract(xkv, wk), contract(xkv, wv), xy, beta)
+                for (wq, wk, wv), beta in zip(oracles.split_heads(h, p.wq, p.wk, p.wv), p.beta)
+            ]
+            want = linear(np.concatenate(outs, axis=1), p.wo, p.bo)
+            assert np.array_equal(_multi_head(xq, xkv, p, xy), want)
+
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    def test_three_projection_contractions_per_layer(self, monkeypatch, h):
+        calls = []
+
+        def counted(x, w, _fn=rcbev.backbone.contract):
+            calls.append(w.shape)
+            return _fn(x, w)
+
+        monkeypatch.setattr(rcbev.backbone, "contract", counted)
+        c, n = 8, 9
+        f, g = rng.standard_normal((n, c)), rng.standard_normal((n, c))
+        multi_head_dmsa(f, rng.uniform(-5, 5, size=(n, 2)), random_mha(c, h, [0.5] * h))
+        assert calls == [(c, c)] * 3
+        cross_attention(f, g, random_cross(c, heads=h))
+        assert calls == [(c, c)] * 6
+        # a whole backbone: DMSA, inject and extract in each of its two stages
+        calls.clear()
+        w = init_weights(record_tensors(backbone_schema, *ARCH), 0)
+        dual_backbone_forward(make_feats(n), backbone_schema(w, *ARCH))
+        assert len(calls) == 3 * 3 * len(ARCH[0])
 
 
 class TestTransformerBlock:
     def zero_block(self, c, h):
-        d = c // h
-        heads = tuple(
-            AttnHeadParams(np.zeros((d, c)), np.zeros((d, c)), np.zeros((d, c))) for _ in range(h)
-        )
         return TransformerBlockParams(
             identity_norm(c),
-            MultiHeadDmsaParams(heads, np.zeros((c, c)), np.zeros(c)),
+            zero_mha(c, h),
             identity_norm(c),
             MlpParams((MlpLayer(np.zeros((c, c)), np.zeros(c), True), MlpLayer(np.zeros((c, c)), np.zeros(c), False))),
         )
@@ -335,8 +384,8 @@ class TestInjectExtract:
         f_t = rng.standard_normal((7, c))
         qn = layer_norm(f_p, p.attn.lnq)
         kn = layer_norm(f_t, p.attn.lnkv)
-        hd = p.attn.attn.heads[0]
-        att = oracles.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T)
+        a = p.attn.attn
+        att = oracles.dense_attention(qn @ a.wq.T, kn @ a.wk.T, kn @ a.wv.T)
         ref = f_p + att @ p.attn.attn.wo.T + p.attn.attn.bo
         assert np.abs(inject(f_p, f_t, p) - ref).max() < 1e-10
 
@@ -354,18 +403,18 @@ class TestInjectExtract:
 
         qn, kn = ln(q_in, lnq), ln(kv_in, lnkv)
         att = np.concatenate(
-            [oracles.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T) for hd in p.attn.heads], axis=1
+            [
+                oracles.dense_attention(qn @ wq.T, kn @ wk.T, kn @ wv.T)
+                for wq, wk, wv in oracles.split_heads(2, p.attn.wq, p.attn.wk, p.attn.wv)
+            ],
+            axis=1,
         )
         ref = att @ p.attn.wo.T + p.attn.bo
         assert np.abs(cross_attention(q_in, kv_in, p) - ref).max() < 1e-10
 
     def test_extract_zero_weights_passes_f_t(self):
         c = 4
-        d = c
-        heads = (AttnHeadParams(np.zeros((d, c)), np.zeros((d, c)), np.zeros((d, c))),)
-        attn = CrossAttnParams(
-            identity_norm(c), identity_norm(c), MultiHeadDmsaParams(heads, np.zeros((c, c)), np.zeros(c))
-        )
+        attn = CrossAttnParams(identity_norm(c), identity_norm(c), zero_mha(c, 1))
         p = ExtractionParams(
             attn,
             identity_norm(c),
@@ -398,8 +447,8 @@ class TestInjectExtract:
         f_p = rng.standard_normal((9, c))
         qn = layer_norm(f_t, p.attn.lnq)
         kn = layer_norm(f_p, p.attn.lnkv)
-        hd = p.attn.attn.heads[0]
-        att = oracles.dense_attention(qn @ hd.wq.T, kn @ hd.wk.T, kn @ hd.wv.T)
+        a = p.attn.attn
+        att = oracles.dense_attention(qn @ a.wq.T, kn @ a.wk.T, kn @ a.wv.T)
         y = f_t + (att @ p.attn.attn.wo.T + p.attn.attn.bo)
         ref = y + mlp(layer_norm(y, p.ffn_ln), p.ffn)
         assert np.abs(extract(f_t, f_p, p) - ref).max() < 1e-10
@@ -414,8 +463,6 @@ class TestInjectExtract:
 ARCH = ((8, 12), 2, 1, 2, 1e-5)  # backbone_schema sizes: widths, dmsa_heads, cross_heads, ffn_mult, eps
 
 
-# N x N logits are one attention block up to N = sqrt(ATTN_BLOCK) = B rows
-B = math.isqrt(ATTN_BLOCK)
 ROWS = [1, B - 1, B, B + 1, 3 * B + 1]
 
 
@@ -573,4 +620,4 @@ class TestDualBackbone:
         w = init_weights(record_tensors(backbone_schema, *ARCH), 5)
         w.entries["stage1.tf.attn.head0.beta"] = np.array([-3.0])
         params = backbone_schema(w, *ARCH)
-        assert params.stages[0].tf.attn.heads[0].beta == 0.0
+        assert params.stages[0].tf.attn.beta[0] == 0.0

@@ -127,47 +127,56 @@ class TestLayerNorm:
 
 class TestSoftmax:
     def test_symmetry(self):
-        assert np.array_equal(softmax(np.array([[0.0, 0.0]]), axis=1), [[0.5, 0.5]])
+        assert np.array_equal(softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
 
     def test_shift_invariance(self):
         x = np.array([[1.0, 3.0]])
-        assert np.array_equal(softmax(x, axis=1), softmax(x - 2.0, axis=1))
+        assert np.array_equal(softmax(x), softmax(x - 2.0))
 
     def test_scalar_value(self):
-        out = softmax(np.array([[2.0, 0.0]]), axis=1)
+        out = softmax(np.array([[2.0, 0.0]]))
         e2 = math.exp(2.0)
         assert np.abs(out - [[e2 / (e2 + 1), 1 / (e2 + 1)]]).max() < 1e-12
 
     def test_rows_sum_to_one(self):
         x = rng.standard_normal((100, 17)) * 10
-        s = softmax(x, axis=1)
+        s = softmax(x)
         assert np.abs(s.sum(axis=1) - 1).max() < 1e-6
 
     def test_random_shift_invariance(self):
         x = rng.standard_normal((20, 9))
         shifts = rng.standard_normal((20, 1))
-        a = softmax(x, axis=1)
-        b = softmax(x + shifts, axis=1)
+        a = softmax(x)
+        b = softmax(x + shifts)
         assert np.abs(a - b).max() < 1e-12
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
-            softmax(np.array([[np.inf, 0.0]]), axis=1)
+            softmax(np.array([[np.inf, 0.0]]))
 
     @pytest.mark.parametrize("bad", [-np.inf, np.nan])
     def test_negative_infinity_and_nan_rejected(self, bad):
         # a -inf never reaches a row max, so the check cannot rest on the maxima alone
         with pytest.raises(DataError):
-            softmax(np.array([[1.0, 2.0], [bad, 0.0]]), axis=1)
+            softmax(np.array([[1.0, 2.0], [bad, 0.0]]))
 
     def test_empty_rows(self):
-        assert softmax(np.zeros((0, 4)), axis=1).shape == (0, 4)
+        assert softmax(np.zeros((0, 4))).shape == (0, 4)
+
+    def test_vector_is_one_row(self):
+        x = rng.standard_normal(ATTN_BLOCK + 1)
+        assert np.array_equal(softmax(x), oracles.softmax_rows(x))
+
+    @pytest.mark.parametrize("out", [np.empty((4, 3)), np.empty((3, 4)).T, np.empty((3, 5))[:, :4]])
+    def test_out_must_be_whole(self, out):
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            softmax(np.zeros((3, 4)), out=out)
 
     def test_peak_memory_is_one_output(self):
         # measured 1.01x: the output plus the row maxima and sums; 3.01x when
         # the shifted logits, their exp and the quotient were separate arrays
         x = rng.standard_normal((1024, 1024))
-        peak = traced_peak(lambda: softmax(x, axis=1))
+        peak = traced_peak(lambda: softmax(x))
         assert peak < 1.1 * x.nbytes, f"peak {peak / 1e6:.1f} MB for an {x.nbytes / 1e6:.1f} MB output"
 
 
@@ -440,23 +449,20 @@ class TestAttentionThreads:
             monkeypatch.setattr(rcbev.nn, "_workers", lambda workers=workers: workers)
             assert np.array_equal(attend(w, v), want), workers
 
-    @pytest.mark.parametrize("shape, axis", [((37,), 1), ((3, 4), 2)], ids=["axis1", "axis2"])
+    # each id names the axis reduced, the last
+    @pytest.mark.parametrize("shape", [(37,), (3, 4)], ids=["axis1", "axis2"])
     @pytest.mark.parametrize("size", ROWS)
-    def test_softmax_bits(self, monkeypatch, size, shape, axis):
+    def test_softmax_bits(self, monkeypatch, size, shape):
         block = ATTN_BLOCK // math.prod(shape)
         n = rows(size, block)
         x = rng.standard_normal((n, *shape)) * 10
-        want = oracles.softmax_rows(x, axis)
+        want = oracles.softmax_rows(x)
         for workers in worker_counts(n, block):
             monkeypatch.setattr(rcbev.nn, "_workers", lambda workers=workers: workers)
-            assert np.array_equal(softmax(x, axis=axis), want), workers
+            assert np.array_equal(softmax(x), want), workers
             y = x.copy()
-            assert softmax(y, axis=axis, out=y) is y
+            assert softmax(y, out=y) is y
             assert np.array_equal(y, want), workers
-
-    def test_softmax_over_axis_0_is_one_pass(self):
-        x = rng.standard_normal((ATTN_BLOCK + 1, 3))
-        assert np.array_equal(softmax(x, axis=0), oracles.softmax_rows(x, 0))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_failing_later_block_fails_the_call(self, monkeypatch, workers):
@@ -465,7 +471,7 @@ class TestAttentionThreads:
         x = rng.standard_normal((3 * (ATTN_BLOCK // 5) + 1, 5))
         x[-1, 2] = np.nan
         with pytest.raises(DataError):
-            softmax(x, axis=1)
+            softmax(x)
         assert threading.active_count() == threads
         einsum, lock, calls = np.einsum, threading.Lock(), []
 
@@ -485,7 +491,7 @@ class TestAttentionThreads:
         monkeypatch.setattr(rcbev.nn, "_workers", lambda: 3)
         threads = threading.active_count()
         x = rng.standard_normal((769, 769))  # 10 blocks of 76-77 rows
-        softmax(x, axis=1)
+        softmax(x)
         assert threading.active_count() == threads
         attend(x, x[:, :4])
         assert threading.active_count() == threads

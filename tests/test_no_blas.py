@@ -1,7 +1,7 @@
 """The product path never calls BLAS: every contraction is a fixed-order
 np.einsum(optimize=False). Checked on the source, so a BLAS call that no test
-happens to reach still fails here. The references (oracles.py) and the scaling
-bench's dense comparator (bench.py) may use BLAS and are exempt."""
+happens to reach still fails here. Only the references (oracles.py), the
+scaling bench's dense comparator among them, may use BLAS."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rcbev"
-EXEMPT = {"oracles.py", "bench.py"}
+EXEMPT = {"oracles.py"}
 BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "outer"}
 
 

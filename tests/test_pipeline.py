@@ -95,6 +95,25 @@ class TestConfigFile:
             else:
                 small_cfg(**bad)
 
+    def test_encoder_without_blocks_needs_matching_widths_at_load(self, tmp_path):
+        # with no conv block the radar BEV is the concat of the mix and the
+        # scattered point features: 64 + 64 != 64 channels by default, 8 + 8 != 8 tiny
+        path = tmp_path / "cfg.txt"
+        path.write_text("enc.blocks = 0\n")
+        names = r"enc\.blocks = 0 .*rcs_mlp\.out \+ backbone\.widths\[-1\] .* enc\.channels"
+        for load in (lambda: PipelineConfig(enc_blocks=0), lambda: small_cfg(enc_blocks=0), lambda: load_config(path)):
+            with pytest.raises(ConfigError, match=names):
+                load()
+
+    def test_encoder_without_blocks_runs_with_matching_widths(self):
+        cfg = small_cfg(enc_blocks=0, radar_channels=16)  # rcs_out 8 + point channels 8
+        out, report = run_pipeline(cfg)
+        assert [s.name for s in report.stages][-1] == "fuse"
+        assert out.radar_bev.data.shape == (16, 16, 16)
+        # no conv: the radar BEV is the channel concat of the mix and the single-pixel scatter
+        assert np.array_equal(out.radar_bev.data[8:], out.base.data)
+        assert np.all(np.isfinite(out.fused.data))
+
     def test_full_roundtrip(self, tmp_path):
         text = """
         bev.x_min = -8
