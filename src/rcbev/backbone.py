@@ -14,10 +14,8 @@ Both attentions gather their keys in one canonical order (nn.key_order) and
 reduce them in that order; queries keep their input order and every query row
 is computed on its own. So all ops here are exactly equivariant under point
 permutations: a permuted input reaches every reduction with bit-identical keys.
-Because rows are independent, each head fills, softmaxes and applies its
-logits in blocks of query rows on nn's thread pool, with the bits of one
-whole-matrix pass; the distance penalty is computed per block from the
-coordinates, so no N x N distance matrix is built.
+Because rows are independent, each head runs in blocks of query rows on nn's
+thread pool, with the bits of one whole-matrix pass (dmsa_weights).
 """
 
 from __future__ import annotations
@@ -172,7 +170,7 @@ def dmsa_weights(q: np.ndarray, k: np.ndarray, xy: Optional[Coords], beta: float
 
     def run(start: int, stop: int) -> None:
         rows = logits[start:stop]
-        np.einsum("id,jd->ij", q[start:stop], k, out=rows, optimize=False)
+        contract(q[start:stop], k, out=rows)
         rows /= scale
         if xy is not None:
             d2 = qx[start:stop, None] - kx

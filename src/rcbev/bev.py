@@ -31,7 +31,7 @@ from .errors import (
     ConfigError, DataError, FormatError, ShapeError, read_file, require_finite, require_finite_fields, require_inside,
 )
 from .ingest import PointFeatureSet
-from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3, mlp
+from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3, mlp, product
 from .weights import TensorSource, INIT_GLOROT, INIT_ONES, INIT_ZEROS, linear_schema
 
 GRID_MAGIC = b"BEVG"
@@ -250,9 +250,9 @@ def project_1x1(x: np.ndarray, proj: tuple[np.ndarray, np.ndarray] | None) -> np
     if proj is None:
         return x
     w, b = proj
-    y = np.einsum("kc,chw->khw", as_f64(w), as_f64(x), optimize=False)
-    y += as_f64(b)[:, None, None]
-    return y
+    y = product(as_f64(w), as_f64(x).reshape(len(x), -1))
+    y += as_f64(b)[:, None]
+    return y.reshape(-1, *x.shape[1:])
 
 
 def cbr_residual(x: np.ndarray, p: CbrBlockParams) -> np.ndarray:

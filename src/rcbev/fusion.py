@@ -3,11 +3,10 @@
 Camera and radar BEV features are first aligned bidirectionally: each modality
 forms one query per pixel and samples the other modality at K learned
 fractional offsets per head (bilinear, zero-padded), weighted by per-head
-softmax attention. Both updates are residual and computed from the pre-update
-inputs. Queries run in blocks of at most QUERY_BLOCK pixels, as jobs on nn's
-thread pool, and each block writes its own columns of the C x H*W output, so
-no H*W-row temporary is built. The aligned features are then fused by the
-radar encoder's residual conv3x3, batch-norm and ReLU stack, bev.bev_encode.
+softmax attention, in blocks of query pixels on nn's thread pool. Both updates
+are residual and computed from the pre-update inputs. The aligned features are
+then fused by the radar encoder's residual conv3x3, batch-norm and ReLU stack,
+bev.bev_encode.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from .bev import BevGrid, CbrBlockParams, bev_encode, cbr_stack_schema
 from .errors import ConfigError, ShapeError
-from .nn import as_f64, contract, in_row_blocks, linear, softmax
+from .nn import as_f64, contract, in_row_blocks, linear, product, softmax, weighted_sum
 from .weights import TensorSource, INIT_GLOROT, INIT_ZEROS, linear_schema
 
 
@@ -92,7 +91,7 @@ def _sample_pool(flat: np.ndarray, h: int, w: int, uv: np.ndarray, attn: np.ndar
     ):
         ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
         idx = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
-        term = np.einsum("qk,qkc->qc", attn * wt * ok, flat[idx], optimize=False)
+        term = weighted_sum(attn * wt * ok, flat[idx])
         acc = term if acc is None else acc + term
     return acc
 
@@ -105,12 +104,6 @@ def _query_rows(cols: np.ndarray, p: DeformAttnParams) -> tuple[np.ndarray, np.n
     if p.adapt is not None:
         z = linear(z, *p.adapt)
     return z, softmax(linear(z, p.w_att, p.b_att).reshape(len(z), p.m, p.k))
-
-
-def deform_attn_weights(queries: np.ndarray, p: DeformAttnParams) -> np.ndarray:
-    """Per-query attention weights (H*W x M x K), softmaxed over K per head."""
-    queries = as_f64(queries)
-    return _query_rows(queries.reshape(len(queries), -1), p)[1]
 
 
 QUERY_BLOCK = 512  # queries per block: their rows, weights, offsets and samples stay small
@@ -148,21 +141,15 @@ def deform_attn(
     if ref.shape != (n, 2):
         raise ShapeError(f"reference points {ref.shape}, expected ({n}, 2)")
     # head-projected value grids in channels-last layout
-    flats = [
-        np.ascontiguousarray(
-            np.einsum("dc,chw->dhw", p.w_val[m], values, optimize=False).transpose(1, 2, 0)
-        ).reshape(n, -1)
-        for m in range(p.m)
-    ]
+    flats = [np.ascontiguousarray(product(p.w_val[m], values.reshape(cv, n)).T) for m in range(p.m)]
     cols = queries.reshape(cq, n)
     out = np.zeros((cv, n))
 
     def run(start: int, stop: int) -> None:
         z, attn = _query_rows(cols[:, start:stop], p)
         offsets = linear(z, p.w_off, p.b_off).reshape(stop - start, p.m, p.k, 2)
-        refc = ref[start:stop]
         for m in range(p.m):
-            uv = refc[:, None, :] + offsets[:, m]
+            uv = ref[start:stop, None, :] + offsets[:, m]
             pooled = _sample_pool(flats[m], h, w, uv, attn[:, m])
             out[:, start:stop] += contract(pooled, p.w_out[m]).T
 

@@ -1,11 +1,16 @@
 """Minimal numerical-layer toolkit: dense layers, norms, softmax, pooling
 and 3x3 convolution.
 
-All arithmetic is float64. Contractions deliberately avoid BLAS: they go
-through np.einsum(optimize=False), and every reduction runs in the order its
-operands are given in, so results are bit-identical across runs and thread
-counts. Attention callers gather their keys in one canonical order
-(key_order) first, which makes them bit-identical under row permutations too.
+All arithmetic is float64 and no contraction reaches BLAS: each is one of
+three kernels, the only np.einsum(optimize=False) calls outside the oracles.
+contract(x, w) = x·wᵀ serves the linear layers and the DMSA logits,
+product(a, b) = a·b the conv, attend, 1x1 skip and deformable value
+projection, and weighted_sum(w, v) the deformable sampler. With two or more
+row-major right-operand columns, product and weighted_sum are left folds,
+0.0 + t0 + t1 + ... with one IEEE multiply and add per term; contract, a
+one-column product and the row reductions (softmax, layer_norm) sum in an
+order numpy picks. Attention callers gather keys in one canonical order
+(key_order), so they are bit-identical under row permutations as well.
 
 conv3x3, attend and softmax split their work into disjoint blocks (output
 pixels, or rows) and run them on one pool of threads, one per usable CPU
@@ -14,10 +19,8 @@ allocated before any thread starts. A pool job that calls another pool runs
 it on its own thread, so no more threads than CPUs are ever alive. Each
 output element is computed by the same operations in the same order
 whichever block holds it, so the bits do not depend on the thread count.
-conv3x3 gathers each block's im2col patches from the unpadded input into a
-patch buffer per thread; pixels whose window is all background, compared by
-bits, take one computed output, so a sparse input costs only the pixels near
-its live ones. batch_norm_2d and softmax can write in place.
+conv3x3 computes only the pixels whose window is not all background (its
+docstring); batch_norm_2d and softmax can write in place.
 """
 
 from __future__ import annotations
@@ -53,9 +56,21 @@ def key_order(*cols: np.ndarray) -> np.ndarray:
     return np.lexsort(rows.view(np.int64).T)
 
 
-def contract(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise channel contraction x[..., j] * w[k, j] -> [..., k] without BLAS."""
-    return np.einsum("...j,kj->...k", x, w, optimize=False)
+def contract(x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """x·wᵀ over the last axis of x, into ``out`` when given; not a left fold."""
+    return np.einsum("...j,kj->...k", x, w, out=out, optimize=False)
+
+
+def product(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a·b, into ``out`` when given; a left fold over j if b has two or more
+    row-major columns (C-contiguous, or a column slice of such an array)."""
+    return np.einsum("ij,jc->ic", a, b, out=out, optimize=False)
+
+
+def weighted_sum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[q, c] = sum_k w[q, k] v[q, k, c]; a left fold over k when v has two
+    or more row-major columns along its last axis, as for product."""
+    return np.einsum("qk,qkc->qc", w, v, optimize=False)
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,19 +217,18 @@ def max_pool_points(x: np.ndarray) -> np.ndarray:
 
 
 def attend(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Attention contraction out[i, c] = sum_j w[i, j] v[j, c].
-
-    Keys j are reduced in the given order, one fixed-order einsum without
-    BLAS per block of query rows (in_attn_blocks); callers that need
-    permutation equivariance pass keys in key_order.
-    """
+    """Attention contraction out[i, c] = sum_j w[i, j] v[j, c], one product
+    per block of query rows (in_attn_blocks): a left fold over the keys j in
+    the given order when values has two or more row-major columns; with one
+    column numpy picks the order, the same in every block. Callers that need
+    permutation equivariance pass keys in key_order."""
     weights, values = as_f64(weights), as_f64(values)
     if weights.ndim != 2 or values.ndim != 2 or weights.shape[1] != values.shape[0]:
         raise ShapeError(f"attend: weights {weights.shape} vs values {values.shape}")
     out = np.empty((len(weights), values.shape[1]))
 
     def run(start: int, stop: int) -> None:
-        np.einsum("ij,jc->ic", weights[start:stop], values, out=out[start:stop], optimize=False)
+        product(weights[start:stop], values, out=out[start:stop])
 
     in_attn_blocks(len(weights), weights.shape[1], run)
     return out
@@ -274,7 +288,7 @@ def _in_threads(jobs: int, workers: int, run: Callable[[int, int], None]) -> Non
 def _row_blocks(n: int, size: int) -> list[tuple[int, int]]:
     """(start, stop) of as few disjoint blocks as cover range(n) with at most
     ``size`` rows each, widths differing by at most one, so none is narrower
-    than size / 2 once n > size: einsum would reduce a one-pixel conv block
+    than size / 2 once n > size: product would reduce a one-pixel conv block
     in another order."""
     blocks = -(-n // size)
     return [(n * j // blocks, n * (j + 1) // blocks) for j in range(blocks)]
@@ -339,8 +353,8 @@ def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
     im2col runs on disjoint blocks of at most CONV_BLOCK output pixels, each
     gathered from the unpadded input, with its out-of-grid taps zeroed, and
-    contracted by one fixed-order einsum. An output pixel sums its C_in * 9
-    products in the same order whichever block holds it, so the result is
+    contracted by one product. An output pixel folds its C_in * 9 products
+    in (c_in, dy, dx) order whichever block holds it, so the result is
     bit-identical to a whole-grid im2col. The blocks run on one thread per
     CPU the process may use, at most one per block, the caller's among them;
     each thread gathers into its own patch buffer, allocated here before any
@@ -384,7 +398,7 @@ def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
         np.take(flat_x, np.clip(ty, 0, h - 1) * w + np.clip(tx, 0, w - 1), axis=1, out=cols, mode="clip")
         if not inside.all():
             cols[:, ~inside] = 0.0
-        np.einsum("ok,kp->op", flat_kernels, cols.reshape(c_in * 9, -1), out=out[:, start:stop], optimize=False)
+        product(flat_kernels, cols.reshape(c_in * 9, -1), out=out[:, start:stop])
 
     _in_threads(len(blocks), workers, run)
     out += bias[:, None]

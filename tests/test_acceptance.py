@@ -26,7 +26,7 @@ from rcbev.backbone import CrossAttnParams, InjectionParams
 from rcbev.bev import BevSpec, ScatterConfig, gaussian_bev_map, rcs_scatter, scatter_radius, to_pixel
 from rcbev.bench import run_bench
 from rcbev.config import PipelineConfig
-from rcbev.fusion import DeformAttnParams, deform_attn, deform_attn_weights
+from rcbev.fusion import DeformAttnParams, _query_rows, deform_attn
 from rcbev.ingest import PointFeatureSet, load_point_cloud
 from rcbev.nn import MlpLayer, MlpParams, identity_norm
 from rcbev.pipeline import checksum, run_pipeline
@@ -163,7 +163,7 @@ def test_criterion_4_deform_oracle():
             queries, values, p.w_off, p.b_off, p.w_att, p.b_att, p.w_val, p.w_out
         )
         worst = max(worst, float(np.abs(got - ref).max()))
-        a = deform_attn_weights(queries, p)
+        a = _query_rows(queries.reshape(cv, -1), p)[1]
         weight_err = max(weight_err, float(np.abs(a.sum(axis=2) - 1).max()))
     report(
         4,

@@ -280,9 +280,10 @@ class TestMultiHeadDmsa:
     def test_three_projection_contractions_per_layer(self, monkeypatch, h):
         calls = []
 
-        def counted(x, w, _fn=rcbev.backbone.contract):
-            calls.append(w.shape)
-            return _fn(x, w)
+        def counted(x, w, out=None, _fn=rcbev.backbone.contract):
+            if w.shape == (x.shape[-1],) * 2:  # a C x C projection, not a block of DMSA logits
+                calls.append(w.shape)
+            return _fn(x, w, out=out)
 
         monkeypatch.setattr(rcbev.backbone, "contract", counted)
         c, n = 8, 9

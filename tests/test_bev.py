@@ -470,6 +470,17 @@ class TestBevEncode:
         want = relu(batch_norm_2d(conv, block.bn)) + project_1x1(x, block.proj)
         assert cbr_residual(x, block).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "c_in, c_out, h, w",
+        [(1, 4, 1, 1), (33, 7, 1, 1), (3, 5, 7, 9), (12, 7, 5, 11), (16, 8, 16, 16), (64, 128, 128, 128)],
+    )
+    def test_project_1x1_is_the_removed_string(self, c_in, c_out, h, w):
+        x = rng.standard_normal((c_in, h, w))
+        proj = (rng.standard_normal((c_out, c_in)), rng.standard_normal(c_out))
+        want = np.einsum("kc,chw->khw", proj[0], x, optimize=False)
+        want += proj[1][:, None, None]
+        assert project_1x1(x, proj).tobytes() == want.tobytes()
+
 
 LIVE_SPEC = BevSpec.from_extent(0.0, 12.0, 0.0, 12.0, 1.0)
 LIVE_POINTS = {

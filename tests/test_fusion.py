@@ -18,7 +18,6 @@ from rcbev.fusion import (
     channel_spatial_fuse,
     cross_align,
     deform_attn,
-    deform_attn_weights,
     fusion_schema,
 )
 from rcbev.nn import identity_norm
@@ -137,10 +136,30 @@ class TestDeformAttn:
         with pytest.raises(ShapeError):
             deform_attn(np.zeros((3, 4, 4)), None, np.zeros((4, 4, 4)), p)
 
+    @pytest.mark.parametrize("cv, h, w, m", [(4, 6, 6, 4), (4, 6, 6, 2), (6, 16, 16, 3), (64, 24, 24, 4)])
+    def test_value_projection_is_the_removed_string(self, monkeypatch, cv, h, w, m):
+        p = random_deform(cv, cv, m, 2)
+        values = rng.standard_normal((cv, h, w))
+        flats = []
+
+        def recording(flat, *args, _fn=rcbev.fusion._sample_pool):
+            flats.append(flat)
+            return _fn(flat, *args)
+
+        monkeypatch.setattr(rcbev.nn, "_workers", lambda: 1)  # heads in order, block after block
+        monkeypatch.setattr(rcbev.fusion, "_sample_pool", recording)
+        deform_attn(rng.standard_normal((cv, h, w)), None, values, p)
+        assert len(flats) == m * -(-h * w // QUERY_BLOCK)
+        for head, flat in enumerate(flats[:m]):
+            want = np.einsum("dc,chw->dhw", p.w_val[head], values, optimize=False).transpose(1, 2, 0)
+            assert flat.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert flat.shape == (h * w, cv // m)
+
     def test_weights_sum_to_one(self):
         c, h, w, m, k = 4, 6, 6, 2, 4
         p = random_deform(c, c, m, k)
-        a = deform_attn_weights(rng.standard_normal((c, h, w)) * 5, p)
+        queries = rng.standard_normal((c, h, w)) * 5
+        a = rcbev.fusion._query_rows(queries.reshape(c, -1), p)[1]
         assert a.shape == (h * w, m, k)
         assert np.abs(a.sum(axis=2) - 1).max() < 1e-6
 

@@ -17,6 +17,7 @@ from rcbev.nn import (
     NormParams,
     attend,
     batch_norm_2d,
+    contract,
     conv3x3,
     identity_norm,
     key_order,
@@ -24,7 +25,9 @@ from rcbev.nn import (
     linear,
     max_pool_points,
     mlp,
+    product,
     softmax,
+    weighted_sum,
 )
 
 rng = np.random.default_rng(2024)
@@ -495,6 +498,76 @@ class TestAttentionThreads:
         assert threading.active_count() == threads
         attend(x, x[:, :4])
         assert threading.active_count() == threads
+
+
+def awkward(shape):
+    """Normal draws with about one entry in eight each +0.0, -0.0 and subnormal."""
+    x = rng.standard_normal(shape)
+    kind = rng.integers(0, 8, size=shape)
+    x[kind == 0] = 0.0
+    x[kind == 1] = -0.0
+    x[kind == 2] *= 1e-310
+    return x
+
+
+def left_fold(shape, terms):
+    """0.0 + terms[0] + terms[1] + ..., one IEEE add at a time."""
+    acc = np.zeros(shape)
+    for t in terms:
+        acc += t
+    return acc
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernels:
+    """nn's three contraction kernels. product and weighted_sum are left folds
+    over their reduced axis, term by term in the given order, which a native
+    kernel can reproduce bit for bit; contract and a one-column product are
+    not, but do not depend on blocking or the worker count."""
+
+    @pytest.mark.parametrize("k", [1, 33, 1152])
+    @pytest.mark.parametrize("cols", [2, 9, 129])
+    @pytest.mark.parametrize("n", [1, 7, 13])
+    def test_product_is_a_left_fold(self, n, cols, k):
+        a, b = awkward((n, k)), awkward((k, cols))
+        want = left_fold((n, cols), (a[:, j, None] * b[j] for j in range(k)))
+        assert same_bits(product(a, b), want)
+        out = np.full((n, cols), np.nan)
+        assert product(a, b, out=out) is out and same_bits(out, want)
+        # a column-major a, and a column slice of a wider row-major b
+        a, b = awkward((k, n)).T, awkward((k, cols + 3))[:, 1 : cols + 1]
+        assert same_bits(product(a, b), left_fold((n, cols), (a[:, j, None] * b[j] for j in range(k))))
+
+    @pytest.mark.parametrize("k", [1, 33, 1152])
+    @pytest.mark.parametrize("cols", [2, 9, 129])
+    @pytest.mark.parametrize("n", [1, 7, 13])
+    def test_weighted_sum_is_a_left_fold(self, n, cols, k):
+        w, v = awkward((n, k)), awkward((n, k, cols))
+        assert same_bits(weighted_sum(w, v), left_fold((n, cols), (w[:, j, None] * v[:, j] for j in range(k))))
+
+    @pytest.mark.parametrize("layout", ["contiguous", "column slice"])
+    def test_one_column_attend_bits_on_any_worker_count(self, monkeypatch, layout):
+        n, k = 3 * (ATTN_BLOCK // 600) + 1, 600  # 4 blocks of rows
+        w = awkward((n, k))
+        v = awkward((k, 1)) if layout == "contiguous" else awkward((k, 5))[:, 2:3]
+        want = product(w, v)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(rcbev.nn, "_workers", lambda workers=workers: workers)
+            assert same_bits(attend(w, v), want), workers
+
+    @pytest.mark.parametrize("d", [4, 8, 16, 64])
+    @pytest.mark.parametrize("n", [13, 257, 864])
+    def test_contract_is_the_removed_logits_string(self, n, d):
+        q, k = awkward((n, d)), awkward((n, d))
+        want = np.einsum("id,jd->ij", q, k, optimize=False)
+        assert same_bits(contract(q, k), want)
+        rows = np.empty((n, n))
+        for start in range(0, n, 75):  # blocks of query rows, as dmsa_weights fills them
+            contract(q[start : start + 75], k, out=rows[start : start + 75])
+        assert same_bits(rows, want)
 
 
 class TestBatchNorm:
