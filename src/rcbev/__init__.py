@@ -45,7 +45,7 @@ from .ingest import (
     save_point_cloud,
     synth_scene,
 )
-from .pipeline import FusionOutput, RunReport, gen_camera_bev, run_pipeline
+from .pipeline import FusionOutput, RadarOutput, RunReport, gen_camera_bev, run_pipeline, run_radar
 from .selfcheck import run_selfcheck
 from .weights import WeightSet, init_weights, load_weights, save_weights
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: extract (radar file -> radar BEV grid), fuse (radar BEV + camera
-BEV -> fused grid), synth (scene config -> radar file), gen-cam (-> camera BEV
-file), selfcheck, bench. Any contract violation exits nonzero and names the
+Subcommands: extract (radar file -> radar BEV grid, through the radar branch
+alone: no camera grid, no fusion), fuse (radar BEV + camera BEV -> fused
+grid), synth (scene config -> radar file), gen-cam (-> camera BEV file),
+selfcheck, bench. Any contract violation exits nonzero and names the
 offending stage.
 """
 
@@ -25,7 +26,8 @@ from .pipeline import (
     fusion_branch,
     gen_camera_bev,
     load_model,
-    run_pipeline,
+    run_pipeline,  # unused here; perfbench/spans.py wraps rcbev.cli.run_pipeline by name
+    run_radar,
 )
 from .selfcheck import run_selfcheck
 
@@ -35,7 +37,7 @@ _FLAGS = {
     "seed": dict(type=int, default=None, help="override pipeline.seed"),
     "weights": dict(type=str, default=None, help="weight manifest path"),
     "out": dict(type=str, default=None, help="output path"),
-    "dump-intermediates": dict(action="store_true", help="write per-stage arrays next to --out"),
+    "dump-intermediates": dict(action="store_true", help="write the radar branch's arrays next to --out"),
 }
 
 
@@ -71,10 +73,10 @@ def _require_out(args) -> Path:
 def cmd_extract(args) -> int:
     cfg = _load_cfg(args)
     out_path = _require_out(args)
-    out, report = run_pipeline(cfg, radar_path=args.radar)
-    save_grid(out.radar_bev, out_path)
+    radar, report = run_radar(cfg, radar_path=args.radar)
+    save_grid(radar.radar_bev, out_path)
     if args.dump_intermediates:
-        dump_intermediates(out, out_path)
+        dump_intermediates(radar, out_path)
     print(report.to_text())
     print(f"wrote radar BEV grid to {out_path}")
     return 0

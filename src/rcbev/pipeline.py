@@ -1,6 +1,7 @@
-"""End-to-end orchestration: ingest -> dual backbone -> RCS-aware BEV encoding
--> cross-modal alignment and fusion, with per-stage timing, checksums and
-optional intermediate dumps. Deterministic per (inputs, config, seed).
+"""End-to-end orchestration, with per-stage timing, checksums and optional
+intermediate dumps. ``run_radar`` is RadarBEVNet alone: ingest -> dual
+backbone -> RCS-aware BEV encoding. ``run_pipeline`` adds the camera grid and
+the cross-modal alignment and fusion. Deterministic per (inputs, config, seed).
 """
 
 from __future__ import annotations
@@ -98,6 +99,16 @@ class RunReport:
 
 
 @dataclass
+class RadarOutput:
+    radar_bev: BevGrid
+    f_rcs: BevGrid
+    g_rcs: BevGrid
+    base: BevGrid
+    backbone: Optional[BackboneResult]
+    params: ModelParams  # the full model's, so run_pipeline fuses without a second load
+
+
+@dataclass
 class FusionOutput:
     fused: BevGrid
     radar_bev: BevGrid
@@ -167,7 +178,7 @@ def gen_camera_bev(spec: BevSpec, c_c: int, seed: int, modes: int = 6) -> BevGri
 
 def radar_branch(
     cfg: PipelineConfig, cloud: PointCloud, params: ModelParams, report: RunReport
-) -> tuple[BevGrid, BevGrid, BevGrid, BevGrid, Optional[BackboneResult]]:
+) -> RadarOutput:
     """Point features -> dual backbone -> RCS scatter -> BEV encoder."""
     rcs_mlp, enc_blocks = params.encoder
 
@@ -201,7 +212,7 @@ def radar_branch(
     f_rcs, base, g_rcs = report.run("scatter", scatter, out_array=lambda t: t[0].data)
 
     radar_bev = report.run("bev_encode", lambda: bev_encode(rcs_bev_feature(f_rcs, g_rcs, rcs_mlp), base, enc_blocks))
-    return radar_bev, f_rcs, base, g_rcs, backbone
+    return RadarOutput(radar_bev, f_rcs, g_rcs, base, backbone, params)
 
 
 def fusion_branch(
@@ -219,12 +230,14 @@ def fusion_branch(
     return aligned_cam, aligned_rad, fused
 
 
-def run_pipeline(
+def run_radar(
     cfg: PipelineConfig,
     cloud: Optional[PointCloud] = None,
-    camera: Optional[BevGrid] = None,
     radar_path: Optional[str] = None,
-) -> tuple[FusionOutput, RunReport]:
+) -> tuple[RadarOutput, RunReport]:
+    """RadarBEVNet alone: the weights and load stages, then the radar branch.
+    The weights are the full config's, so a manifest must hold every tensor
+    name of it, the fuser's too."""
     report = RunReport()
 
     params = report.run("weights", lambda: load_model(cfg))
@@ -241,7 +254,21 @@ def run_pipeline(
 
     in_cloud = report.run("load", get_cloud)
 
-    radar_bev, f_rcs, base, g_rcs, backbone = radar_branch(cfg, in_cloud, params, report)
+    radar = radar_branch(cfg, in_cloud, params, report)
+
+    report.grids.append(grid_stats("f_rcs", radar.f_rcs))
+    report.grids.append(grid_stats("radar_bev", radar.radar_bev))
+    return radar, report
+
+
+def run_pipeline(
+    cfg: PipelineConfig,
+    cloud: Optional[PointCloud] = None,
+    camera: Optional[BevGrid] = None,
+    radar_path: Optional[str] = None,
+) -> tuple[FusionOutput, RunReport]:
+    """run_radar, then the camera stage, then the align and fuse stages."""
+    radar, report = run_radar(cfg, cloud, radar_path)
 
     def get_camera() -> BevGrid:
         if camera is not None:
@@ -255,38 +282,36 @@ def run_pipeline(
             ShapeError(f"camera grid has {cam.channels} channels, configured {cfg.cam_channels}"),
         )
 
-    aligned_cam, aligned_rad, fused = fusion_branch(cam, radar_bev, params.fusion, report)
+    aligned_cam, aligned_rad, fused = fusion_branch(cam, radar.radar_bev, radar.params.fusion, report)
 
-    report.grids.append(grid_stats("f_rcs", f_rcs))
-    report.grids.append(grid_stats("radar_bev", radar_bev))
     report.grids.append(grid_stats("fused", fused))
 
     out = FusionOutput(
         fused=fused,
-        radar_bev=radar_bev,
+        radar_bev=radar.radar_bev,
         camera=cam,
-        f_rcs=f_rcs,
-        g_rcs=g_rcs,
-        base=base,
+        f_rcs=radar.f_rcs,
+        g_rcs=radar.g_rcs,
+        base=radar.base,
         aligned_cam=aligned_cam,
         aligned_rad=aligned_rad,
-        backbone=backbone,
+        backbone=radar.backbone,
     )
     return out, report
 
 
-def dump_intermediates(out: FusionOutput, stem: Path) -> list[Path]:
-    """Write every intermediate grid (and backbone matrices) next to ``stem``."""
+def dump_intermediates(radar: RadarOutput, stem: Path) -> list[Path]:
+    """Write the radar branch's grids and backbone matrices next to ``stem``."""
     from .bev import save_grid
 
     written = []
-    for name in ("f_rcs", "g_rcs", "base", "radar_bev", "camera", "aligned_cam", "aligned_rad", "fused"):
+    for name in ("f_rcs", "g_rcs", "base", "radar_bev"):
         path = stem.with_name(stem.name + f".{name}.bevgrid")
-        save_grid(getattr(out, name), path)
+        save_grid(getattr(radar, name), path)
         written.append(path)
-    if out.backbone is not None:
+    if radar.backbone is not None:
         for name in ("f_p", "f_t", "fused"):
             path = stem.with_name(stem.name + f".backbone_{name}.npy")
-            np.save(path, getattr(out.backbone, name))
+            np.save(path, getattr(radar.backbone, name))
             written.append(path)
     return written

@@ -29,7 +29,7 @@ from rcbev.config import PipelineConfig
 from rcbev.fusion import DeformAttnParams, _query_rows, deform_attn
 from rcbev.ingest import PointFeatureSet, load_point_cloud
 from rcbev.nn import MlpLayer, MlpParams, identity_norm
-from rcbev.pipeline import checksum, run_pipeline
+from rcbev.pipeline import checksum, run_pipeline, run_radar
 from rcbev.selfcheck import run_selfcheck, tiny_pipeline_config
 from rcbev.weights import init_weights, record_tensors
 
@@ -294,6 +294,12 @@ def test_criterion_8_structural_conformance(backbone_calls):
         ok and bits_ok,
         f"calls={backbone_calls}, shape={out.fused.data.shape}, checksums {'match' if bits_ok else 'differ'}",
     )
+
+
+def test_run_radar_reproduces_default_radar_checksum():
+    radar, report = run_radar(PipelineConfig())
+    assert checksum(radar.radar_bev.data) == DEFAULT_RADAR_CHECKSUM
+    assert [s.name for s in report.stages] == ["weights", "load", "ingest", "backbone", "scatter", "bev_encode"]
 
 
 def test_criterion_9_golden_regression_and_selfcheck():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcbev import cli
+from rcbev import cli, pipeline
 from rcbev.bev import BevSpec, load_grid, save_grid
 from rcbev.cli import main as cli_main
 from rcbev.config import (
@@ -461,7 +461,57 @@ class TestCli:
         ]) == 0
         assert (tmp_path / "r.bevgrid.f_rcs.bevgrid").exists()
         assert (tmp_path / "r.bevgrid.backbone_fused.npy").exists()
+        for name in ("camera", "aligned_cam", "aligned_rad", "fused"):
+            assert not (tmp_path / f"r.bevgrid.{name}.bevgrid").exists(), name
         capsys.readouterr()
+
+    @pytest.mark.parametrize("suffix", ["csv", "bin"])
+    def test_extract_writes_the_pipelines_radar_bev(self, suffix, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        write_tiny_config(cfg_path)
+        radar = tmp_path / f"scene.{suffix}"
+        assert cli_main(["synth", "--config", str(cfg_path), "--out", str(radar)]) == 0
+        got = tmp_path / "r.bevgrid"
+        assert cli_main(["extract", str(radar), "--config", str(cfg_path), "--out", str(got)]) == 0
+        want = tmp_path / "want.bevgrid"
+        save_grid(run_pipeline(load_config(cfg_path), radar_path=str(radar))[0].radar_bev, want)
+        assert got.read_bytes() == want.read_bytes()
+        capsys.readouterr()
+
+    def test_extract_runs_no_camera_align_or_fuse(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        write_tiny_config(cfg_path)
+        radar = tmp_path / "scene.csv"
+        assert cli_main(["synth", "--config", str(cfg_path), "--out", str(radar)]) == 0
+        for name in ("gen_camera_bev", "cross_align", "channel_spatial_fuse"):
+            monkeypatch.setattr(pipeline, name, lambda *a, _name=name, **k: pytest.fail(f"extract ran {_name}"))
+        out = tmp_path / "r.bevgrid"
+        assert cli_main([
+            "extract", str(radar), "--config", str(cfg_path), "--out", str(out), "--dump-intermediates"
+        ]) == 0
+        stages = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()]
+        assert not {"camera", "align", "fuse"} & set(stages), stages
+        assert load_grid(out).channels == 8
+
+    def test_manifest_without_a_fuse_tensor_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        write_tiny_config(cfg_path)
+        cfg = load_config(cfg_path)
+        weights = init_weights(model_tensors(cfg), cfg.seed)
+        dropped = next(name for name in weights.entries if name.startswith("fuse."))
+        del weights.entries[dropped]
+        manifest = tmp_path / "w.json"
+        save_weights(weights, manifest)
+        radar = tmp_path / "scene.csv"
+        assert cli_main(["synth", "--config", str(cfg_path), "--out", str(radar)]) == 0
+        out = tmp_path / "r.bevgrid"
+        rc = cli_main([
+            "extract", str(radar), "--config", str(cfg_path), "--weights", str(manifest), "--out", str(out)
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "stage 'weights'" in err and dropped in err, err
+        assert not out.exists()
 
     def test_nan_config_exits_with_error_not_traceback(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
@@ -512,7 +562,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["extract", "fuse", "synth", "gen-cam", "bench"])
     @pytest.mark.parametrize("out", ["dir", "no-parent"])
     def test_bad_out_rejected_before_any_work(self, command, out, tmp_path, monkeypatch, capsys):
-        for name in ("run_pipeline", "run_bench", "load_grid", "synth_scene", "gen_camera_bev"):
+        for name in ("run_pipeline", "run_radar", "run_bench", "load_grid", "synth_scene", "gen_camera_bev"):
             monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} ran before --out check"))
         positional = {"extract": ["scene.csv"], "fuse": ["r.bevgrid", "c.bevgrid"]}.get(command, [])
         out_path = tmp_path if out == "dir" else tmp_path / "missing" / "x.out"
