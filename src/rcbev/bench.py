@@ -19,6 +19,9 @@ from .fusion import DeformAttnParams, deform_attn
 from .oracles import dense_cross_attention_grid
 
 DEFAULT_SIDES = (16, 32, 64, 128)  # H = W; H*W in {256, 1024, 4096, 16384}
+# timed reps per round of every deformable cell: one takes at most ~60 ms, and
+# with 3 reps at 128 x 128 a doubling ratio once read above the 2.5 bound
+DEFORM_REPS = 10
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,6 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _deform_reps(hw: int) -> int:
-    return {256: 10, 1024: 8, 4096: 5}.get(hw, 3)
-
-
 def _dense_reps(hw: int) -> int:
     return {256: 8, 1024: 6, 4096: 3}.get(hw, 1)
 
@@ -107,7 +106,7 @@ def run_bench(
         z = queries.reshape(channels, hw).T.copy()
         kv = values.reshape(channels, hw).T.copy()
         cells.append(
-            ("deform", side, (lambda q=queries, v=values: deform_attn(q, None, v, p)), _deform_reps(hw))
+            ("deform", side, (lambda q=queries, v=values: deform_attn(q, None, v, p)), DEFORM_REPS)
         )
         cells.append(
             ("dense", side, (lambda a=z, b=kv: dense_cross_attention_grid(a, b, wq, wk, wv)), _dense_reps(hw))

@@ -35,7 +35,7 @@ from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3,
 from .weights import TensorSource, INIT_GLOROT, INIT_ONES, INIT_ZEROS, linear_schema
 
 GRID_MAGIC = b"BEVG"
-GRID_VERSION = 1
+GRID_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -312,18 +312,23 @@ def encoder_schema(
 # ---------------------------------------------------------------------------
 
 def save_grid(grid: BevGrid, path: str | Path) -> None:
-    """Header: magic, version, C/H/W u32, spec as 5 little-endian f64;
-    payload: C*H*W little-endian f32, channel-major row-major."""
+    """Header: magic, version (2), C/H/W u32, spec as 5 little-endian f64;
+    payload: the C*H*W grid values as little-endian f64, channel-major
+    row-major, so a grid read back is bit-equal to the grid written. The
+    payload is written from the array's own buffer, with no copy of it."""
     grid.validate_finite()
     c, h, w = grid.data.shape
     s = grid.spec
-    header = GRID_MAGIC + struct.pack(
-        "<IIII5d", GRID_VERSION, c, h, w, s.x_min, s.x_max, s.y_min, s.y_max, s.resolution
-    )
-    Path(path).write_bytes(header + np.ascontiguousarray(grid.data, dtype="<f4").tobytes())
+    with open(path, "wb") as f:
+        f.write(GRID_MAGIC + struct.pack(
+            "<IIII5d", GRID_VERSION, c, h, w, s.x_min, s.x_max, s.y_min, s.y_max, s.resolution
+        ))
+        f.write(memoryview(np.ascontiguousarray(grid.data, dtype="<f8")))
 
 
 def load_grid(path: str | Path) -> BevGrid:
+    """The grid of a version-2 file, as a writable float64 array; any other
+    version raises a FormatError naming it."""
     raw = read_file(path)
     head_len = 4 + struct.calcsize("<IIII5d")
     if len(raw) < head_len:
@@ -332,11 +337,12 @@ def load_grid(path: str | Path) -> BevGrid:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
     version, c, h, w, x_min, x_max, y_min, y_max, res = struct.unpack_from("<IIII5d", raw, 4)
     if version != GRID_VERSION:
-        raise FormatError(f"{path}: unsupported grid version {version}")
-    expected = head_len + 4 * c * h * w
+        raise FormatError(f"{path}: grid version {version}, only version {GRID_VERSION} is read")
+    expected = head_len + 8 * c * h * w
     if len(raw) != expected:
         raise FormatError(f"{path}: {len(raw)} bytes, expected {expected}")
-    data = np.frombuffer(raw, dtype="<f4", offset=head_len).astype(np.float64).reshape(c, h, w)
+    # astype copies: a view of the file's bytes would be read-only
+    data = np.frombuffer(raw, dtype="<f8", offset=head_len).astype(np.float64).reshape(c, h, w)
     if not np.all(np.isfinite(data)):
         raise DataError(f"{path}: grid payload contains non-finite values")
     return BevGrid(data, BevSpec(x_min, x_max, y_min, y_max, res, h, w))

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from .bench import run_bench
-from .bev import BevGrid, BevSpec, load_grid, save_grid
+from .bev import load_grid, save_grid
 from .config import PipelineConfig, load_config
-from .errors import PipelineError, RcbevError, ShapeError
+from .errors import PipelineError, RcbevError
 from .ingest import save_point_cloud, save_point_cloud_binary, synth_scene
 from .pipeline import (
     RunReport,
+    check_grid,
     dump_intermediates,
     fusion_branch,
     gen_camera_bev,
@@ -82,28 +83,15 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _load_input(path: str, spec: BevSpec, channels_key: str, channels: int) -> BevGrid:
-    """The grid file ``path``, which must have the config's grid spec and
-    channel count; a mismatch raises a ShapeError naming the config key."""
-    grid = load_grid(path)
-    for f in fields(BevSpec):
-        got, want = getattr(grid.spec, f.name), getattr(spec, f.name)
-        if got != want:
-            raise ShapeError(f"{path}: grid has bev.{f.name} = {got}, config has {want}")
-    if grid.channels != channels:
-        raise ShapeError(f"{path}: grid has {grid.channels} channels, config has {channels_key} = {channels}")
-    return grid
-
-
 def cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     out_path = _require_out(args)
     report = RunReport()
     radar = report.run(
-        "load-radar", lambda: _load_input(args.radar_grid, cfg.bev, "enc.channels", cfg.radar_channels)
+        "load-radar", lambda: check_grid(load_grid(args.radar_grid), cfg, "enc.channels", args.radar_grid)
     )
     camera = report.run(
-        "load-camera", lambda: _load_input(args.camera_grid, cfg.bev, "cam.channels", cfg.cam_channels)
+        "load-camera", lambda: check_grid(load_grid(args.camera_grid), cfg, "cam.channels", args.camera_grid)
     )
     params = report.run("weights", lambda: load_model(cfg))
     _, _, fused = fusion_branch(camera, radar, params.fusion, report)

@@ -2,13 +2,15 @@
 intermediate dumps. ``run_radar`` is RadarBEVNet alone: ingest -> dual
 backbone -> RCS-aware BEV encoding. ``run_pipeline`` adds the camera grid and
 the cross-modal alignment and fusion. Deterministic per (inputs, config, seed).
+``check_grid`` checks a given grid against the config, for ``run_pipeline``'s
+camera grid and for both grid files of ``rcbev fuse``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -25,6 +27,7 @@ from .bev import (
     rcs_scatter,
     to_pixel,
     ScatterConfig,
+    save_grid,
 )
 from .config import ModelParams, PipelineConfig, model_schema, model_tensors
 from .errors import PipelineError, ShapeError
@@ -109,16 +112,13 @@ class RadarOutput:
 
 
 @dataclass
-class FusionOutput:
-    fused: BevGrid
-    radar_bev: BevGrid
+class FusionOutput(RadarOutput):
+    """The radar branch's output, plus the camera grid and the fusion's."""
+
     camera: BevGrid
-    f_rcs: BevGrid
-    g_rcs: BevGrid
-    base: BevGrid
     aligned_cam: BevGrid
     aligned_rad: BevGrid
-    backbone: Optional[BackboneResult]
+    fused: BevGrid
 
 
 def grid_stats(name: str, grid: BevGrid) -> GridStats:
@@ -138,6 +138,20 @@ def _default_array(result):
     if isinstance(result, np.ndarray):
         return result
     return None
+
+
+def check_grid(grid: BevGrid, cfg: PipelineConfig, channels_key: str, source: str) -> BevGrid:
+    """``grid``, if it has the config's grid spec and the channel count that
+    ``channels_key`` (``enc.channels`` or ``cam.channels``) configures; a
+    mismatch raises a ShapeError naming ``source`` and the config key."""
+    for f in fields(BevSpec):
+        got, want = getattr(grid.spec, f.name), getattr(cfg.bev, f.name)
+        if got != want:
+            raise ShapeError(f"{source}: grid has bev.{f.name} = {got}, config has {want}")
+    channels = {"enc.channels": cfg.radar_channels, "cam.channels": cfg.cam_channels}[channels_key]
+    if grid.channels != channels:
+        raise ShapeError(f"{source}: grid has {grid.channels} channels, config has {channels_key} = {channels}")
+    return grid
 
 
 def resolve_weights(cfg: PipelineConfig) -> WeightSet:
@@ -271,39 +285,20 @@ def run_pipeline(
     radar, report = run_radar(cfg, cloud, radar_path)
 
     def get_camera() -> BevGrid:
-        if camera is not None:
-            return camera
-        return gen_camera_bev(cfg.bev, cfg.cam_channels, cfg.seed, cfg.cam_modes)
+        if camera is None:
+            return gen_camera_bev(cfg.bev, cfg.cam_channels, cfg.seed, cfg.cam_modes)
+        return check_grid(camera, cfg, "cam.channels", "camera")
 
     cam = report.run("camera", get_camera)
-    if cam.channels != cfg.cam_channels:
-        raise PipelineError(
-            "camera",
-            ShapeError(f"camera grid has {cam.channels} channels, configured {cfg.cam_channels}"),
-        )
-
     aligned_cam, aligned_rad, fused = fusion_branch(cam, radar.radar_bev, radar.params.fusion, report)
 
     report.grids.append(grid_stats("fused", fused))
-
-    out = FusionOutput(
-        fused=fused,
-        radar_bev=radar.radar_bev,
-        camera=cam,
-        f_rcs=radar.f_rcs,
-        g_rcs=radar.g_rcs,
-        base=radar.base,
-        aligned_cam=aligned_cam,
-        aligned_rad=aligned_rad,
-        backbone=radar.backbone,
-    )
+    out = FusionOutput(**vars(radar), camera=cam, aligned_cam=aligned_cam, aligned_rad=aligned_rad, fused=fused)
     return out, report
 
 
 def dump_intermediates(radar: RadarOutput, stem: Path) -> list[Path]:
     """Write the radar branch's grids and backbone matrices next to ``stem``."""
-    from .bev import save_grid
-
     written = []
     for name in ("f_rcs", "g_rcs", "base", "radar_bev"):
         path = stem.with_name(stem.name + f".{name}.bevgrid")

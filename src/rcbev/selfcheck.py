@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -188,11 +189,9 @@ def check_maxpool_permutation() -> tuple[float, str]:
     return worst, "pooling invariant under 5 permutations"
 
 
-def check_weights_roundtrip(tmp_dir: str) -> tuple[float, str]:
-    import tempfile
-
+def check_weights_roundtrip() -> tuple[float, str]:
     ws = init_weights(model_tensors(tiny_pipeline_config()), seed=9)
-    with tempfile.TemporaryDirectory(dir=tmp_dir or None) as td:
+    with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "w.json")
         save_weights(ws, path)
         back = load_weights(path)
@@ -479,7 +478,7 @@ CHECKS: list[tuple[str, float, Callable[[], tuple[float, str]]]] = [
     ("layernorm-stats", 1e-6, check_layer_norm),
     ("bilinear-sample", 1e-12, check_bilinear),
     ("maxpool-permutation", 0.0, check_maxpool_permutation),
-    ("weights-roundtrip", 0.0, lambda: check_weights_roundtrip("")),
+    ("weights-roundtrip", 0.0, check_weights_roundtrip),
     ("dmsa-oracle", 1e-10, check_dmsa_oracle),
     ("dmsa-locality", 1e-9, check_dmsa_locality),
     ("permutation-equivariance", 0.0, check_permutation_equivariance),

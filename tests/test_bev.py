@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -537,12 +538,24 @@ class TestLiveEncode:
 
 class TestGridFile:
     def test_roundtrip(self, tmp_path):
-        grid = BevGrid(rng.standard_normal((3, SPEC.h, SPEC.w)).astype(np.float32).astype(np.float64), SPEC)
+        grid = BevGrid(rng.standard_normal((3, SPEC.h, SPEC.w)), SPEC)
         path = tmp_path / "g.bevgrid"
         save_grid(grid, path)
         back = load_grid(path)
         assert np.array_equal(back.data, grid.data)
         assert back.spec == grid.spec
+        assert back.data.dtype == np.float64 and back.data.flags.writeable
+
+    def test_version_1_rejected(self, tmp_path):
+        grid = BevGrid(np.zeros((2, SPEC.h, SPEC.w)), SPEC)
+        path = tmp_path / "g.bevgrid"
+        save_grid(grid, path)
+        head = 4 + struct.calcsize("<IIII5d")
+        # version 1: the same header, then a float32 payload
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:head] + grid.data.astype("<f4").tobytes())
+        with pytest.raises(FormatError, match="version 1"):
+            load_grid(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "g.bevgrid"
@@ -564,10 +577,8 @@ class TestGridFile:
         path = tmp_path / "g.bevgrid"
         save_grid(grid, path)
         raw = bytearray(path.read_bytes())
-        import struct as _struct
-
-        head = 4 + _struct.calcsize("<IIII5d")
-        raw[head : head + 4] = _struct.pack("<f", float("nan"))
+        head = 4 + struct.calcsize("<IIII5d")
+        raw[head : head + 8] = struct.pack("<d", float("nan"))
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError):
             load_grid(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rcbev import cli, pipeline
-from rcbev.bev import BevSpec, load_grid, save_grid
+from rcbev.bev import BevGrid, BevSpec, load_grid, save_grid
 from rcbev.cli import main as cli_main
 from rcbev.config import (
     PipelineConfig,
@@ -16,7 +16,7 @@ from rcbev.config import (
     parse_kv_text,
 )
 from rcbev.errors import ConfigError, PipelineError
-from rcbev.ingest import PointCloud, SceneConfig, load_point_cloud, synth_scene
+from rcbev.ingest import PointCloud, SceneConfig, load_point_cloud, load_point_cloud_binary, synth_scene
 from rcbev.pipeline import checksum, gen_camera_bev, run_pipeline
 from rcbev.selfcheck import run_selfcheck, tiny_pipeline_config
 from rcbev.weights import init_weights, save_weights
@@ -260,6 +260,19 @@ class TestRunPipeline:
         if isinstance(err.value, PipelineError):
             assert err.value.stage == "weights"
 
+    @pytest.mark.parametrize(
+        "extent, channels, key",
+        [((-8, 8, -8, 8), 4, "cam.channels"), ((0, 16, 0, 16), 8, "bev.x_min")],
+        ids=["channels", "x_min"],  # the second has the config's 16 x 16 size over another extent
+    )
+    def test_camera_mismatch_fails_in_camera_stage(self, extent, channels, key):
+        cfg = small_cfg()
+        spec = BevSpec.from_extent(*extent, cfg.bev.resolution)
+        camera = BevGrid(np.random.default_rng(0).standard_normal((channels, spec.h, spec.w)), spec)
+        with pytest.raises(PipelineError, match=key) as err:
+            run_pipeline(cfg, camera=camera)
+        assert err.value.stage == "camera"
+
     def test_loaded_weights_match_seeded(self, tmp_path):
         cfg = small_cfg()
         ws = init_weights(model_tensors(cfg), cfg.seed)
@@ -330,12 +343,13 @@ def write_tiny_config(path, seed=5):
 
 
 class TestCli:
-    def test_synth_extract_gencam_fuse_chain(self, tmp_path, capsys):
+    @pytest.mark.parametrize("suffix", ["csv", "bin"])
+    def test_synth_extract_gencam_fuse_chain(self, suffix, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         write_tiny_config(cfg_path)
-        radar = tmp_path / "scene.csv"
+        radar = tmp_path / f"scene.{suffix}"
         assert cli_main(["synth", "--config", str(cfg_path), "--out", str(radar)]) == 0
-        assert len(load_point_cloud(radar))
+        assert len((load_point_cloud_binary if suffix == "bin" else load_point_cloud)(radar))
 
         radar_grid = tmp_path / "radar.bevgrid"
         assert cli_main(["extract", str(radar), "--config", str(cfg_path), "--out", str(radar_grid)]) == 0
@@ -353,6 +367,11 @@ class TestCli:
         ]) == 0
         fg = load_grid(fused)
         assert fg.data.shape == (16, 16, 16)
+
+        # through its grid files the chain computes run_pipeline's grids, bit for bit
+        want, _ = run_pipeline(load_config(cfg_path), radar_path=str(radar))
+        assert checksum(rg.data) == checksum(want.radar_bev.data)
+        assert checksum(fg.data) == checksum(want.fused.data)
         capsys.readouterr()
 
     def test_extract_deterministic_output_bytes(self, tmp_path, capsys):
