@@ -20,6 +20,7 @@ follow table order, so each pixel adds its points in canonical order.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ConfigError, DataError, FormatError, ShapeError, read_file, require_finite, require_finite_fields, require_inside,
+    ConfigError, DataError, FormatError, ShapeError, open_file, require_finite, require_finite_fields, require_inside,
 )
 from .ingest import PointFeatureSet
 from .nn import MlpLayer, MlpParams, NormParams, as_f64, batch_norm_2d, conv3x3, mlp, product
@@ -36,6 +37,7 @@ from .weights import TensorSource, INIT_GLOROT, INIT_ONES, INIT_ZEROS, linear_sc
 
 GRID_MAGIC = b"BEVG"
 GRID_VERSION = 2
+GRID_HEAD = struct.Struct("<4sIIII5d")  # magic, version, C, H, W, x_min, x_max, y_min, y_max, resolution
 
 
 @dataclass(frozen=True)
@@ -320,29 +322,34 @@ def save_grid(grid: BevGrid, path: str | Path) -> None:
     c, h, w = grid.data.shape
     s = grid.spec
     with open(path, "wb") as f:
-        f.write(GRID_MAGIC + struct.pack(
-            "<IIII5d", GRID_VERSION, c, h, w, s.x_min, s.x_max, s.y_min, s.y_max, s.resolution
-        ))
+        f.write(GRID_HEAD.pack(GRID_MAGIC, GRID_VERSION, c, h, w, s.x_min, s.x_max, s.y_min, s.y_max, s.resolution))
         f.write(memoryview(np.ascontiguousarray(grid.data, dtype="<f8")))
 
 
 def load_grid(path: str | Path) -> BevGrid:
     """The grid of a version-2 file, as a writable float64 array; any other
-    version raises a FormatError naming it."""
-    raw = read_file(path)
-    head_len = 4 + struct.calcsize("<IIII5d")
-    if len(raw) < head_len:
-        raise FormatError(f"{path}: truncated grid file")
-    if raw[:4] != GRID_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, c, h, w, x_min, x_max, y_min, y_max, res = struct.unpack_from("<IIII5d", raw, 4)
-    if version != GRID_VERSION:
-        raise FormatError(f"{path}: grid version {version}, only version {GRID_VERSION} is read")
-    expected = head_len + 8 * c * h * w
-    if len(raw) != expected:
-        raise FormatError(f"{path}: {len(raw)} bytes, expected {expected}")
-    # astype copies: a view of the file's bytes would be read-only
-    data = np.frombuffer(raw, dtype="<f8", offset=head_len).astype(np.float64).reshape(c, h, w)
+    version, an invalid header spec, or a size other than the header's C*H*W
+    raises a FormatError naming the path. The payload is read straight into
+    the result, which is allocated only once the file size matches."""
+    with open_file(path) as f:
+        head = f.read(GRID_HEAD.size)
+        if len(head) < GRID_HEAD.size:
+            raise FormatError(f"{path}: truncated grid file")
+        magic, version, c, h, w, *extent = GRID_HEAD.unpack(head)
+        if magic != GRID_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != GRID_VERSION:
+            raise FormatError(f"{path}: grid version {version}, only version {GRID_VERSION} is read")
+        try:
+            spec = BevSpec(*extent, h, w)
+        except ConfigError as exc:
+            raise FormatError(f"{path}: bad grid header: {exc}") from exc
+        size, expected = os.fstat(f.fileno()).st_size, len(head) + 8 * c * h * w
+        if size != expected:
+            raise FormatError(f"{path}: {size} bytes, expected {expected}")
+        data = np.empty((c, h, w), dtype="<f8")
+        if f.readinto(data) != data.nbytes:
+            raise FormatError(f"{path}: payload ended before {data.nbytes} bytes")
     if not np.all(np.isfinite(data)):
         raise DataError(f"{path}: grid payload contains non-finite values")
-    return BevGrid(data, BevSpec(x_min, x_max, y_min, y_max, res, h, w))
+    return BevGrid(data, spec)

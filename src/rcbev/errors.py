@@ -7,6 +7,7 @@ violated caller contracts, and degenerate empty inputs.
 
 import math
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -43,13 +44,20 @@ class WeightLookupError(RcbevError, KeyError):
     """Requested tensor name is absent from the weight set."""
 
 
+def open_file(path: str | Path, error: type[RcbevError] = FormatError) -> BinaryIO:
+    """The file ``path`` opened for binary reading; a directory raises
+    ``error`` naming the path, a missing file FileNotFoundError."""
+    try:
+        return open(path, "rb")
+    except IsADirectoryError:
+        raise error(f"{path}: is a directory, not a file") from None
+
+
 def read_file(path: str | Path, error: type[RcbevError] = FormatError, text: bool = False) -> bytes | str:
     """The bytes of the file ``path`` (its UTF-8 text with ``text``); a directory
     or non-UTF-8 text raises ``error`` naming the path, a missing file FileNotFoundError."""
-    try:
-        raw = Path(path).read_bytes()
-    except IsADirectoryError:
-        raise error(f"{path}: is a directory, not a file") from None
+    with open_file(path, error) as f:
+        raw = f.read()
     try:
         return raw.decode("utf-8") if text else raw
     except UnicodeDecodeError as exc:

@@ -140,8 +140,8 @@ def deform_attn(
     ref = pixel_centers(h, w) if ref_points is None else as_f64(ref_points)
     if ref.shape != (n, 2):
         raise ShapeError(f"reference points {ref.shape}, expected ({n}, 2)")
-    # head-projected value grids in channels-last layout
-    flats = [np.ascontiguousarray(product(p.w_val[m], values.reshape(cv, n)).T) for m in range(p.m)]
+    # every head's value projection in one product, channels-last; head m samples its column slice
+    flats = np.hsplit(np.ascontiguousarray(product(p.w_val.reshape(-1, cv), values.reshape(cv, n)).T), p.m)
     cols = queries.reshape(cq, n)
     out = np.zeros((cv, n))
 

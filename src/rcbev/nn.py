@@ -13,11 +13,12 @@ order numpy picks. Attention callers gather keys in one canonical order
 (key_order), so they are bit-identical under row permutations as well.
 
 conv3x3, attend and softmax split their work into disjoint blocks (output
-pixels, or rows) and run them on one pool of threads, one per usable CPU
-(numpy releases the GIL), each block writing its own part of an output
-allocated before any thread starts. A pool job that calls another pool runs
-it on its own thread, so no more threads than CPUs are ever alive. Each
-output element is computed by the same operations in the same order
+pixels, or rows) and run them through in_row_blocks, the one place that
+starts threads: one per usable CPU (numpy releases the GIL), each block
+writing its own part of an output allocated before any thread starts and
+holding any temporaries of its own. A block that calls in_row_blocks again runs
+those blocks on its own thread, so no more threads than CPUs are ever alive.
+Each output element is computed by the same operations in the same order
 whichever block holds it, so the bits do not depend on the thread count.
 conv3x3 computes only the pixels whose window is not all background (its
 docstring); batch_norm_2d and softmax can write in place.
@@ -246,27 +247,31 @@ def _workers() -> int:
 _pool = threading.local()  # _pool.busy: this thread is running pool jobs
 
 
-def _in_threads(jobs: int, workers: int, run: Callable[[int, int], None]) -> None:
-    """run(worker, job) once for each job in range(jobs), on ``workers``
-    threads that take the next job as they finish one. The calling thread is
-    worker 0; the others are joined before this returns. Called from inside a
-    pool job, it runs every job on that job's thread. Once a job raises, no
-    worker starts another, and the first exception is raised here."""
+def in_row_blocks(n: int, size: int, run: Callable[[int, int], None]) -> None:
+    """run(start, stop) for each of as few disjoint blocks as cover range(n)
+    with at most ``size`` rows each, widths differing by at most one, so none
+    is narrower than size / 2 once n > size (product would reduce a one-pixel
+    conv block in another order). The blocks run on min(_workers(), blocks)
+    threads, the caller's among them, each taking the next block as it
+    finishes one; called from inside a block, every block runs on that
+    block's thread. Once a block raises, no thread starts another, and the
+    first exception is raised here once every thread has joined."""
+    blocks = -(-n // size)
     lock = threading.Lock()
     taken = [0]
     errors: list[BaseException] = []
     nested = getattr(_pool, "busy", False)
 
-    def worker(k: int) -> None:
+    def worker() -> None:
         _pool.busy = True
         try:
             while True:
                 with lock:
-                    job = taken[0]
+                    j = taken[0]
                     taken[0] += 1
-                if job >= jobs or errors:
+                if j >= blocks or errors:
                     return
-                run(k, job)
+                run(n * j // blocks, n * (j + 1) // blocks)
         except BaseException as exc:  # re-raised in the caller once every thread has joined
             errors.append(exc)
         finally:
@@ -274,30 +279,15 @@ def _in_threads(jobs: int, workers: int, run: Callable[[int, int], None]) -> Non
 
     threads = []
     try:
-        for k in range(1, 1 if nested else min(workers, jobs)):
-            threads.append(threading.Thread(target=worker, args=(k,)))
+        for _ in range(1, 1 if nested else min(_workers(), blocks)):
+            threads.append(threading.Thread(target=worker))
             threads[-1].start()
-        worker(0)
+        worker()
     finally:
         for t in threads:
             t.join()
     if errors:
         raise errors[0]
-
-
-def _row_blocks(n: int, size: int) -> list[tuple[int, int]]:
-    """(start, stop) of as few disjoint blocks as cover range(n) with at most
-    ``size`` rows each, widths differing by at most one, so none is narrower
-    than size / 2 once n > size: product would reduce a one-pixel conv block
-    in another order."""
-    blocks = -(-n // size)
-    return [(n * j // blocks, n * (j + 1) // blocks) for j in range(blocks)]
-
-
-def in_row_blocks(n: int, size: int, run: Callable[[int, int], None]) -> None:
-    """run(start, stop) for each of _row_blocks(n, size), on the pool."""
-    blocks = _row_blocks(n, size)
-    _in_threads(len(blocks), _workers(), lambda _worker, job: run(*blocks[job]))
 
 
 def in_attn_blocks(n: int, entries: int, run: Callable[[int, int], None]) -> None:
@@ -355,10 +345,8 @@ def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     gathered from the unpadded input, with its out-of-grid taps zeroed, and
     contracted by one product. An output pixel folds its C_in * 9 products
     in (c_in, dy, dx) order whichever block holds it, so the result is
-    bit-identical to a whole-grid im2col. The blocks run on one thread per
-    CPU the process may use, at most one per block, the caller's among them;
-    each thread gathers into its own patch buffer, allocated here before any
-    thread starts, and writes its blocks' columns of the output.
+    bit-identical to a whole-grid im2col. The blocks run on in_row_blocks'
+    pool; each gathers its own patch and writes its columns of the output.
 
     The input nominates its own background: the first pixel whose bit
     patterns, summed over channels, give the most common sum. Pixels equal to
@@ -383,24 +371,19 @@ def conv3x3(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     flat_kernels = kernels.reshape(c_out, c_in * 9)
     n = len(pixels)
     out = np.empty((c_out, n))
-    blocks = _row_blocks(n, CONV_BLOCK)
-    workers = min(_workers(), len(blocks))
-    patches = [np.empty(c_in * 9 * min(CONV_BLOCK, n)) for _ in range(workers)]
     shift = np.arange(-1, 2)
 
-    def run(worker: int, job: int) -> None:
-        start, stop = blocks[job]
+    def run(start: int, stop: int) -> None:
         # each pixel's 9 taps, rows ordered (dy, dx) and so patch rows (c_in, dy, dx) like kernels
         py, px = np.divmod(pixels[start:stop], w)
         ty, tx = py + shift[:, None, None], px + shift[None, :, None]
         inside = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
-        cols = patches[worker][: c_in * 9 * (stop - start)].reshape(c_in, 3, 3, stop - start)
-        np.take(flat_x, np.clip(ty, 0, h - 1) * w + np.clip(tx, 0, w - 1), axis=1, out=cols, mode="clip")
+        cols = np.take(flat_x, np.clip(ty, 0, h - 1) * w + np.clip(tx, 0, w - 1), axis=1)
         if not inside.all():
             cols[:, ~inside] = 0.0
         product(flat_kernels, cols.reshape(c_in * 9, -1), out=out[:, start:stop])
 
-    _in_threads(len(blocks), workers, run)
+    in_row_blocks(n, CONV_BLOCK, run)
     out += bias[:, None]
     if background is not None:
         full = np.repeat(out[:, background : background + 1], h * w, axis=1)

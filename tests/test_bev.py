@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -570,6 +571,50 @@ class TestGridFile:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
             load_grid(path)
+
+    @staticmethod
+    def rewrite_header(path, **fields):
+        """Rewrite the named header fields of the grid file ``path`` in place."""
+        raw = path.read_bytes()
+        names = ("version", "c", "h", "w", "x_min", "x_max", "y_min", "y_max", "res")
+        head = dict(zip(names, struct.unpack_from("<IIII5d", raw, 4)))
+        head.update(fields)
+        path.write_bytes(raw[:4] + struct.pack("<IIII5d", *head.values()) + raw[4 + struct.calcsize("<IIII5d") :])
+
+    # the C x H x W product, and so the expected file size, stays the same
+    @pytest.mark.parametrize(
+        "fields", [{"y_max": math.nan}, {"c": 1, "h": 2 * SPEC.h}], ids=["nan_extent", "h_vs_extent"]
+    )
+    def test_bad_header_spec_names_the_file(self, tmp_path, fields):
+        path = tmp_path / "g.bevgrid"
+        save_grid(BevGrid(np.zeros((2, SPEC.h, SPEC.w)), SPEC), path)
+        self.rewrite_header(path, **fields)
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_grid(path)
+
+    def test_huge_header_on_short_file_rejected(self, tmp_path):
+        # the size check comes before the allocation: no MemoryError
+        path = tmp_path / "g.bevgrid"
+        save_grid(BevGrid(np.zeros((2, SPEC.h, SPEC.w)), SPEC), path)
+        self.rewrite_header(path, c=2**32 - 1)
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_grid(path)
+
+    def test_peak_memory_of_load(self, tmp_path):
+        # measured 1.13x: the payload read straight into the result, plus the
+        # finite check's one-byte-a-value mask; 2.12x when the file's bytes
+        # were read whole and then copied into a writable array
+        path = tmp_path / "g.bevgrid"
+        spec = BevSpec.from_extent(-64.0, 64.0, -64.0, 64.0, 1.0)
+        save_grid(BevGrid(rng.standard_normal((64, 128, 128)), spec), path)
+        payload = 64 * 128 * 128 * 8
+        tracemalloc.start()
+        try:
+            load_grid(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * payload, f"peak {peak / 1e6:.1f} MB for a {payload / 1e6:.1f} MB payload"
 
     def test_non_finite_rejected(self, tmp_path):
         grid = BevGrid(np.zeros((1, SPEC.h, SPEC.w)), SPEC)

@@ -332,9 +332,9 @@ class TestConvBlocks:
         assert conv_pixels == [9 * 11, pixels_near([(0, 0), (4, 5), (7, 2)], 9, 11)]
 
     def test_peak_memory_of_one_conv(self, monkeypatch):
-        # measured 1.17x with 2 workers (each adds its C_in * 9 * CONV_BLOCK
-        # patch buffer, 0.07x here); 2.27x before patches were gathered from
-        # the unpadded input into caller-owned buffers
+        # measured 1.16x with 2 workers (each block in flight adds its own
+        # C_in * 9 * CONV_BLOCK patch, 0.07x here); 2.27x before patches were
+        # gathered block by block from the unpadded input
         monkeypatch.setattr(rcbev.nn, "_workers", lambda: 2)
         x, k, b = random_conv(64, 64, 128, 128)
         out_bytes = 64 * 128 * 128 * 8

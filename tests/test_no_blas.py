@@ -1,10 +1,13 @@
-"""The product path never calls BLAS. Every contraction goes through one of
-nn's three kernels (contract, product, weighted_sum), each one
-np.einsum(optimize=False), so nn.py is the only product module that calls
-np.einsum, and it does so exactly three times. Checked on the source, so a
-BLAS call or a stray einsum that no test happens to reach still fails here.
-Only the references (oracles.py), the scaling bench's dense comparator among
-them, may use BLAS or einsum."""
+"""The product path never calls BLAS and runs on one pool. Every contraction
+goes through one of nn's three kernels (contract, product, weighted_sum),
+each one np.einsum(optimize=False), so nn.py is the only product module that
+calls np.einsum, and it does so exactly three times. Only the references
+(oracles.py), the scaling bench's dense comparator among them, may use BLAS
+or einsum. Every thread is started by nn.in_row_blocks, the only place in
+the package that constructs a threading.Thread, and no product module
+imports another way to run work in parallel (concurrent.futures,
+multiprocessing, _thread). Checked on the source, so a BLAS call, a stray
+einsum or a second pool that no test happens to reach still fails here."""
 
 import ast
 from pathlib import Path
@@ -16,6 +19,8 @@ EXEMPT = {"oracles.py"}
 EINSUM_HOME = "nn.py"
 BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "outer"}
 PRODUCT = sorted(p for p in SRC.glob("*.py") if p.name not in EXEMPT)
+POOL_HOME = ("nn.py", "in_row_blocks")
+OTHER_POOLS = {"concurrent", "multiprocessing", "_thread"}
 
 
 def call_name(node: ast.Call):
@@ -45,6 +50,39 @@ def blas_uses(source: str, filename: str) -> list[str]:
                 for kw in node.keywords
             ):
                 found.append(f"line {node.lineno}: einsum without optimize=False")
+    return found
+
+
+def thread_constructions(source: str) -> list[str]:
+    """The outermost function (None at module level) around each Thread(...)
+    call in ``source``, in source order."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, func or child.name)
+                continue
+            if isinstance(child, ast.Call) and call_name(child) == "Thread":
+                found.append(func)
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def pool_imports(source: str) -> list[str]:
+    """Line-numbered descriptions of every import of a parallel runner other
+    than threading in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: import {m}" for m in modules if m.split(".")[0] in OTHER_POOLS]
     return found
 
 
@@ -91,3 +129,41 @@ def test_guard_accepts_fixed_order_einsum():
 @pytest.mark.parametrize("path", [p for p in PRODUCT if p.name != EINSUM_HOME], ids=lambda p: p.name)
 def test_guard_rejects_einsum_outside_nn(path):
     assert blas_uses(FIXED_ORDER_EINSUM, path.name) == [f"line 1: einsum outside {EINSUM_HOME}"]
+
+
+def test_one_thread_construction_in_the_package():
+    found = [(p.name, func) for p in sorted(SRC.glob("*.py")) for func in thread_constructions(p.read_text())]
+    assert found == [POOL_HOME]
+
+
+@pytest.mark.parametrize("path", PRODUCT, ids=lambda p: p.name)
+def test_product_module_imports_no_other_pool(path):
+    assert pool_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "snippet, funcs",
+    [
+        ("t = threading.Thread(target=f)", [None]),
+        ("def go():\n    Thread(target=f).start()", ["go"]),
+        ("def go():\n    def inner():\n        threading.Thread(target=f)", ["go"]),
+        ("class Pool:\n    def start(self):\n        threading.Thread(target=f)", ["start"]),
+    ],
+)
+def test_guard_finds_thread_constructions(snippet, funcs):
+    assert thread_constructions(snippet) == funcs
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "import concurrent.futures",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "from concurrent import futures",
+        "import multiprocessing",
+        "from multiprocessing.pool import ThreadPool",
+        "import os, _thread",
+    ],
+)
+def test_guard_rejects_other_pools(snippet):
+    assert len(pool_imports(snippet)) == 1
